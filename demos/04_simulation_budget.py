@@ -19,7 +19,8 @@ dom = DomainSpec()
 kmax, eps, mu = 3.0, 0.1, 0.5
 forcing = default_forcing(dom, kmax)
 dt = oscillation_dt(dom, kmax, eps)
-cfg = SolverConfig(eps=eps, mu=mu, dt=dt, t_end=8.0, kmax=kmax,
+nsteps = int(np.ceil(8.0 / dt))  # t_end must be a whole number of steps
+cfg = SolverConfig(eps=eps, mu=mu, dt=dt, t_end=nsteps * dt, kmax=kmax,
                    record_every=max(1, int(round(1.0 / dt))))
 
 print(f"kmax = {kmax:g}, eps = {eps:g}, mu = {mu:g}, dt = {dt:.4f}")

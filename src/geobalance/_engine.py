@@ -1,5 +1,5 @@
-"""Dense vectorized kernels shared by the convolution, dynamics and
-manifold modules.
+"""Dense vectorized kernels shared by the convolution, dynamics, resonance
+and manifold modules.
 
 A :class:`ModeTable` freezes the mode enumeration for one (domain, cutoff)
 pair and carries per-mode arrays: eigenvectors, advection vectors and
@@ -9,6 +9,12 @@ row 1 = plus branch, row 2 = minus branch, columns in the fixed
 lexicographic wavevector order.  Unavailable slots (fast rows at l3 = 0)
 are structurally zero.
 
+The table is the one triad engine: :meth:`ModeTable.closing_rows` finds
+the triads j + k = l inside the table, :meth:`ModeTable.coeff` holds the
+factorized coefficient i (VX_j^a . k)(X_k^b . conj X_l^g), and
+:meth:`ModeTable.fast_fast_slow` builds the fast-fast -> slow block that
+the resonance audit and the frequency-weighted operator share.
+
 Two interchangeable convolution kernels are provided:
 
 * ``conv_direct``: summation over a precomputed triad index table (the
@@ -16,11 +22,17 @@ Two interchangeable convolution kernels are provided:
 * ``conv_grid``: pseudospectral product on a padded FFT grid, alias-free
   because the per-axis grid size is at least 3*lmax+1 (the fast path, and
   an independent physical-space oracle for the direct path).
+
+:meth:`ModeTable.conv` is the one dispatch point between them.  It accepts
+the methods in ``CONV_METHODS``: ``"direct"``, ``"grid"``, or ``"auto"``,
+which picks ``conv_direct`` for tables of at most ``AUTO_DIRECT_MAX_NK``
+modes and ``conv_grid`` above, whichever measured faster.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +42,19 @@ from .modes import advection_vector, eigenframe, frequencies
 # branch label <-> row index
 I2A = (0, 1, -1)
 A2I = {0: 0, 1: 1, -1: 2}
+
+CONV_METHODS = ("auto", "direct", "grid")
+# "auto" crossover, best of 50 calls on the 2 pi cube (2-vCPU Xeon, numpy
+# 2.4), grid / direct: 0.64 / 0.57 ms at nk 80, 0.67 / 0.76 ms at nk 92
+AUTO_DIRECT_MAX_NK = 80
+
+# fast branch pairs (r, s) in canonical order; the rows of r and of s and
+# the sign products r s, each shaped (4, 1)
+FAST_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+R_ROWS, S_ROWS = (np.array([[A2I[p[i]]] for p in FAST_PAIRS]) for i in (0, 1))
+_RS = np.array([[r * s] for r, s in FAST_PAIRS])
+# every (a, b, g) branch-row combination, shaped (3,1,1,1), (1,3,1,1), ...
+_A3, _B3, _G3 = np.ix_(range(3), range(3), range(3), [0])[:3]
 
 
 def _next_fast_len(n: int) -> int:
@@ -42,6 +67,18 @@ def _next_fast_len(n: int) -> int:
         if m == 1:
             return n
         n += 1
+
+
+class FastFastSlow(NamedTuple):
+    """The fast-fast -> slow triads of one table row j."""
+
+    K: np.ndarray     # rows k closing a triad, (m,)
+    L: np.ndarray     # rows of l = j + k, (m,)
+    wj: np.ndarray    # omega_j^r, (4, 1)
+    wk: np.ndarray    # omega_k^s, (4, m)
+    wsum: np.ndarray  # omega_j^r + omega_k^s, (4, m)
+    csum: np.ndarray  # symmetrized coefficient, |M| excluded, (4, m)
+    res: np.ndarray   # exact resonance, (4, m)
 
 
 class ModeTable:
@@ -122,41 +159,81 @@ class ModeTable:
         wt = self.kabs ** (2.0 * s) if s else 1.0
         return math.sqrt(float((wt * (np.abs(w) ** 2).sum(axis=0)).sum()))
 
+    # -- the triad engine --------------------------------------------------
+    def closing_rows(self, jn: int, K: np.ndarray):
+        """Rows k of K with j + k inside the table (j = row jn), and the
+        rows of those sums l = j + k."""
+        L = self.rows_of(self.ints[jn][None, :] + self.ints[K])
+        ok = L >= 0
+        return K[ok], L[ok]
+
+    def coeff(self, a, J, b, K, g, L) -> np.ndarray:
+        """Triad coefficients i (VX_j^a . k)(X_k^b . conj X_l^g), |M| excluded.
+
+        Branch row indices a, b, g and table rows J, K, L are integers or
+        integer arrays, broadcast against each other.
+        """
+        adv = 1j * np.einsum("...c,...c->...", self.VX[a, J], self.kphys[K])
+        return adv * np.einsum("...c,...c->...", self.X[b, K],
+                               np.conj(self.X[g, L]))
+
+    def fast_fast_slow(self, jn: int, K: np.ndarray) -> FastFastSlow:
+        """Fast-fast -> slow triads of row jn with the closing rows of K.
+
+        Arrays over the fast pairs are (4, m), in ``FAST_PAIRS`` order; the
+        symmetrized |M|-free coefficient is coeff[r,s,0; j,k,l] +
+        coeff[s,r,0; k,j,l], and exact resonance is decided in integers on
+        cube lattices, like :func:`exact_resonance`.
+        """
+        K, L = self.closing_rows(jn, K)
+        wj = self.omega[R_ROWS, jn]
+        wk = self.omega[S_ROWS, K]
+        wsum = wj + wk
+        csum = (self.coeff(R_ROWS, jn, S_ROWS, K, 0, L)
+                + self.coeff(S_ROWS, K, R_ROWS, jn, 0, L))
+        d = self.domain
+        if d.L1 == d.L2 == d.L3:
+            j, k = self.ints[jn], self.ints[K]
+            jp0 = j[0] == 0 and j[1] == 0
+            kp0 = (k[:, 0] == 0) & (k[:, 1] == 0)
+            cone = ((j ** 2).sum() * k[:, 2] ** 2
+                    == (k ** 2).sum(axis=1) * j[2] ** 2)
+            # omega^r = r |k|/k3 off the vertical axis, r on it
+            opposite = _RS * np.sign(j[2]) * np.sign(k[:, 2]) == -1
+            res = np.where(jp0 & kp0, _RS == -1,
+                           ~(jp0 | kp0) & cone & opposite)
+        else:
+            res = np.abs(wsum) <= 1e-12 * np.maximum(np.abs(wj), np.abs(wk))
+        return FastFastSlow(K, L, wj, wk, wsum, csum, res)
+
     # -- direct triad table ------------------------------------------------
     def _build_triads(self):
-        jj, kk, ll, cc = [], [], [], []
+        z = np.zeros(0, dtype=np.int64)
+        jj, kk, ll, cc = [z], [z], [z], [np.zeros(0, dtype=complex)]
         nk = self.nk
+        rows = np.arange(nk)
         for jn in range(nk):
-            lint = self.ints[jn][None, :] + self.ints
-            lrow = self.rows_of(lint)
-            ok = lrow >= 0
-            krow = np.nonzero(ok)[0]
-            lrow = lrow[ok]
-            if len(krow) == 0:
-                continue
-            # i * (VX_j . k) per j-branch, (X_k . conj(X_l)) per (k,l) branch
-            adv = 1j * (self.VX[:, jn, :] @ self.kphys[krow].T)  # (3, m)
-            for ai in range(3):
-                if ai > 0 and not self.fast_ok[jn]:
-                    continue
-                for bi in range(3):
-                    xb = self.X[bi, krow]  # (m, 3)
-                    for gi in range(3):
-                        c = adv[ai] * np.einsum(
-                            "mc,mc->m", xb, np.conj(self.X[gi, lrow]))
-                        nz = np.nonzero(c)[0]
-                        if len(nz) == 0:
-                            continue
-                        jj.append(np.full(len(nz), ai * nk + jn))
-                        kk.append(bi * nk + krow[nz])
-                        ll.append(gi * nk + lrow[nz])
-                        cc.append(c[nz])
-        if jj:
-            self._triads = (np.concatenate(jj), np.concatenate(kk),
-                            np.concatenate(ll), np.concatenate(cc))
-        else:
-            z = np.zeros(0, dtype=np.int64)
-            self._triads = (z, z, z, np.zeros(0, dtype=complex))
+            K, L = self.closing_rows(jn, rows)
+            c = self.coeff(_A3, jn, _B3, K, _G3, L)  # (a, b, g, m)
+            ai, bi, gi, m = np.nonzero(c)
+            jj.append(ai * nk + jn)
+            kk.append(bi * nk + K[m])
+            ll.append(gi * nk + L[m])
+            cc.append(c[ai, bi, gi, m])
+        self._triads = (np.concatenate(jj), np.concatenate(kk),
+                        np.concatenate(ll), np.concatenate(cc))
+
+    # -- convolution -------------------------------------------------------
+    def conv(self, method: str = "auto"):
+        """The convolution kernel for ``method``, one of ``CONV_METHODS``."""
+        if method == "auto":
+            method = "direct" if self.nk <= AUTO_DIRECT_MAX_NK else "grid"
+        if method == "direct":
+            return self.conv_direct
+        if method == "grid":
+            return self.conv_grid
+        raise ValueError(f"unknown convolution method {method!r}; "
+                         f"choose from {', '.join(CONV_METHODS)}")
 
     def conv_direct(self, w: np.ndarray, what: np.ndarray) -> np.ndarray:
         """Galerkin convolution by direct triad summation."""

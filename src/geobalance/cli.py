@@ -15,7 +15,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from . import __version__
 from .dynamics import ForcingSpec, SolverConfig, integrate
 from .experiments import (DEFAULT_KMAX, DEFAULT_MU, DEFAULT_OVERSAMPLE,
                           DEFAULT_SEED, DEFAULT_TRANSIENT, balance_scan,
-                          default_forcing, gevrey_tail_check, manifold_scan,
-                          oscillation_dt, toy_model)
+                          default_forcing, manifold_scan, oscillation_dt,
+                          toy_model)
 from .lattice import (DomainSpec, SpectralState, check_reality, random_state,
                       sobolev_norm)
 from .resonance import audit, scan_csv
@@ -60,43 +60,33 @@ class RunConfig:
     oversample: int = DEFAULT_OVERSAMPLE
     seed: int = DEFAULT_SEED
     theta0: float = 0.5
-    sigma: float = 0.5
     eps_grid: tuple = (0.1, 0.05, 0.025, 0.0125)
     n_grid: tuple = (0, 1)
-    kappa_grid: tuple = (2.0, 3.0, 4.0, 5.0)
     toy_f: complex = 1.0 + 0.0j
     toy_T: float = 40.0
     toy_dt: float = 0.001
     toy_x0: complex = 0.0 + 0.0j
     forcing_file: str = ""
     out: str = "."
-    threads: int = 1
 
     def domain(self) -> DomainSpec:
         return DomainSpec(self.L1, self.L2, self.L3)
 
 
+# keyed by type name: with postponed annotations a field's type is a string
 _PARSERS = {
-    float: float,
-    int: int,
-    str: str,
-    complex: complex,
-    tuple: lambda s: tuple(float(x) if "." in x or "e" in x.lower()
-                           else int(x) for x in s.split()),
+    "float": float,
+    "int": int,
+    "str": str,
+    "complex": complex,
+    "tuple": lambda s: tuple(float(x) if "." in x or "e" in x.lower()
+                             else int(x) for x in s.split()),
 }
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse key-value text; reports every violation, not just the first."""
-    spec = {f.name: f.type for f in fields(RunConfig)}
-    typemap = {"L1": float, "L2": float, "L3": float, "kmax": float,
-               "epsilon": float, "mu": float, "dt": float, "t_end": float,
-               "transient": float, "window": float, "oversample": int,
-               "seed": int, "theta0": float, "sigma": float,
-               "eps_grid": tuple, "n_grid": tuple, "kappa_grid": tuple,
-               "toy_f": complex, "toy_T": float, "toy_dt": float,
-               "toy_x0": complex, "forcing_file": str, "out": str,
-               "threads": int}
+    spec = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
     violations = []
     values = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -114,7 +104,7 @@ def parse_config(text: str) -> RunConfig:
             violations.append(f"line {ln}: unknown key {key!r}")
             continue
         try:
-            values[key] = _PARSERS[typemap[key]](val)
+            values[key] = spec[key](val)
         except ValueError:
             violations.append(f"line {ln}: cannot parse {key} value {val!r}")
     cfg = None
@@ -151,16 +141,12 @@ def _validate(cfg: RunConfig):
         v.append("oversample must be >= 1")
     if not 0.0 < cfg.theta0 < 1.0:
         v.append("theta0 must lie in (0, 1)")
-    if not cfg.sigma > 0:
-        v.append("sigma must be > 0")
     if any(not e > 0 for e in cfg.eps_grid):
         v.append("eps_grid entries must be > 0")
     if any(n < 0 for n in cfg.n_grid):
         v.append("n_grid entries must be >= 0")
     if not (cfg.toy_dt > 0 and cfg.toy_T > 0):
         v.append("toy_dt and toy_T must be > 0")
-    if cfg.threads < 1:
-        v.append("threads must be >= 1")
     if cfg.forcing_file:
         try:
             st = read_snapshot(cfg.forcing_file)
@@ -385,8 +371,7 @@ def run(command: str, cfg: RunConfig) -> int:
         nsteps = max(1, int(math.ceil(cfg.t_end / dt)))
         sc = SolverConfig(eps=cfg.epsilon, mu=cfg.mu, dt=dt,
                           t_end=nsteps * dt, kmax=cfg.kmax,
-                          record_every=max(1, nsteps // 500),
-                          seed=cfg.seed)
+                          record_every=max(1, nsteps // 500))
         state0 = SpectralState(dom, cfg.kmax, {})
         rec, final = integrate(state0, sc, forcing)
         rec.to_csv(os.path.join(out, "trajectory.csv"),
@@ -442,9 +427,6 @@ def main(argv=None) -> int:
                     help="output directory (default: current)")
     ap.add_argument("--seed", type=int,
                     default=_env_default("seed", None))
-    ap.add_argument("--threads", type=int,
-                    default=_env_default("threads", None),
-                    help="worker threads for scans (1 = serial)")
     args = ap.parse_args(argv)
     text = ""
     if args.config:
@@ -460,8 +442,6 @@ def main(argv=None) -> int:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seed = int(args.seed)
-    if args.threads is not None:
-        cfg.threads = int(args.threads)
     print(f"# geobalance {__version__}")
     print("\n".join("# " + ln for ln in echo_config(cfg).splitlines()))
     try:

@@ -16,11 +16,11 @@ itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import mode_table
+from ._engine import CONV_METHODS, mode_table
 from .lattice import SLOW, DomainSpec, SpectralState, check_reality
 
 __all__ = [
@@ -87,10 +87,8 @@ class SolverConfig:
     dt: float
     t_end: float
     kmax: float
-    integrator: str = "ifrk4"
     record_every: int = 1
-    seed: int = 0
-    conv_method: str = "auto"
+    conv_method: str = "auto"  # one of _engine.CONV_METHODS
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -101,8 +99,15 @@ class SolverConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not self.kmax > 0:
             raise ValueError(f"kmax must be > 0, got {self.kmax}")
-        if self.integrator != "ifrk4":
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+        if self.conv_method not in CONV_METHODS:
+            raise ValueError(f"unknown convolution method "
+                             f"{self.conv_method!r}; choose from "
+                             f"{', '.join(CONV_METHODS)}")
+        n = self.t_end / self.dt
+        if not (n >= 0 and abs(n - round(n)) <= 1e-9 * max(1.0, n)):
+            raise ValueError(f"t_end = {self.t_end!r} must be a whole number "
+                             f"of steps dt = {self.dt!r}, >= 0 "
+                             f"(t_end/dt = {n!r})")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
         if self.record_every * self.dt > self.t_end * (1 + 1e-9) > 0:
@@ -149,14 +154,11 @@ def _dense_forcing(table, forcing):
     return table.dense(forcing.coeffs)
 
 
-def _rhs(table, w, t, cfg, fdense, forcing, method):
+def _rhs(table, w, t, cfg, fdense, forcing, conv):
     """Rotated-frame tendency without the diffusion term (handled by IF)."""
     E = table.phase(t, cfg.eps)
     c = E * w
-    if method == "direct":
-        N = table.conv_direct(c, c)
-    else:
-        N = table.conv_grid(c, c)
+    N = conv(c, c)
     f = fdense if forcing is None or forcing.modulation is None \
         else fdense * forcing.amplitude(t)
     return (f - N) / E
@@ -170,10 +172,8 @@ def tendency(state: SpectralState, t: float, cfg: SolverConfig,
     table = mode_table(state.domain, state.kmax)
     w = table.dense(state)
     fdense = _dense_forcing(table, forcing)
-    method = "direct" if (cfg.conv_method == "direct"
-                          or (cfg.conv_method == "auto" and table.nk <= 300)) \
-        else "grid"
-    out = _rhs(table, w, t, cfg, fdense, forcing, method) \
+    conv = table.conv(cfg.conv_method)
+    out = _rhs(table, w, t, cfg, fdense, forcing, conv) \
         - cfg.mu * table.kabs ** 2 * w
     return table.state(out, state.frame, t)
 
@@ -193,9 +193,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     table = mode_table(state0.domain, state0.kmax)
     w = table.dense(state0)
     fdense = _dense_forcing(table, forcing)
-    method = "direct" if (cfg.conv_method == "direct"
-                          or (cfg.conv_method == "auto" and table.nk <= 300)) \
-        else "grid"
+    conv = table.conv(cfg.conv_method)
     h = cfg.dt
     D = cfg.mu * table.kabs ** 2
     ea = np.exp(-0.5 * h * D)
@@ -218,11 +216,11 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
         es.append(math.sqrt(slow.sum()))
         h1.append(math.sqrt(float((table.kabs ** 2
                                    * (np.abs(w) ** 2).sum(axis=0)).sum())))
-        bud = _budget_dense(table, w, t, cfg, fdense, forcing, method)
+        bud = _budget_dense(table, w, t, cfg, fdense, forcing, conv)
         br.append(bud[-1])
 
     record(t0, w)
-    rhs = lambda w, t: _rhs(table, w, t, cfg, fdense, forcing, method)
+    rhs = lambda w, t: _rhs(table, w, t, cfg, fdense, forcing, conv)
     for n in range(nsteps):
         t = t0 + n * h
         k1 = rhs(w, t)
@@ -246,7 +244,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     return rec, table.state(w, "rotated", t0 + nsteps * h)
 
 
-def _budget_dense(table, w, t, cfg, fdense, forcing, method):
+def _budget_dense(table, w, t, cfg, fdense, forcing, conv):
     """Fast-branch energy budget terms from a rotated dense state.
 
     Returns (de_fast, dissipation, transfer, injection, residual), where
@@ -260,7 +258,6 @@ def _budget_dense(table, w, t, cfg, fdense, forcing, method):
     vol = table.domain.volume
     E = table.phase(t, cfg.eps)
     c = E * w
-    conv = table.conv_direct if method == "direct" else table.conv_grid
     N = conv(c, c)
     f = fdense * (forcing.amplitude(t) if forcing is not None else 1.0)
     cdot = -N - cfg.mu * table.kabs ** 2 * c + f  # lab tendency minus iL/eps
@@ -283,8 +280,8 @@ def energy_budget(state: SpectralState, forcing: ForcingSpec | None,
     table = mode_table(state.domain, state.kmax)
     w = table.dense(state)
     fdense = _dense_forcing(table, forcing)
-    method = "direct" if table.nk <= 300 else "grid"
-    return _budget_dense(table, w, t, cfg, fdense, forcing, method)
+    return _budget_dense(table, w, t, cfg, fdense, forcing,
+                         table.conv(cfg.conv_method))
 
 
 def reconstruct_fields(state: SpectralState, resolution) -> dict:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._engine import A2I, exact_resonance, mode_table
+from ._engine import I2A, R_ROWS, S_ROWS, mode_table
 from .lattice import SLOW, SpectralState, WaveVector
-from .modes import advection_vector, eigenframe, frequencies
+from .modes import advection_vector, eigenframe
 
 __all__ = [
     "coeff",
@@ -86,17 +86,6 @@ def pairing(a: SpectralState, b: SpectralState) -> complex:
     return a.domain.volume * acc
 
 
-def _conv(w, what, table, method):
-    if method == "direct":
-        return table.conv_direct(w, what)
-    if method == "grid":
-        return table.conv_grid(w, what)
-    if method == "auto":
-        return (table.conv_direct(w, what) if table.nk <= 300
-                else table.conv_grid(w, what))
-    raise ValueError(f"unknown convolution method {method!r}")
-
-
 def apply_B(W: SpectralState, What: SpectralState, frame_time=None,
             method: str = "auto") -> SpectralState:
     """Galerkin convolution, output truncated to the shared lattice.
@@ -108,14 +97,15 @@ def apply_B(W: SpectralState, What: SpectralState, frame_time=None,
     """
     W._compat(What)
     table = mode_table(W.domain, W.kmax)
+    conv = table.conv(method)
     w = table.dense(W)
     what = table.dense(What)
     if frame_time is not None:
         t, eps = frame_time
         E = table.phase(t, eps)
-        out = _conv(E * w, E * what, table, method) / E
+        out = conv(E * w, E * what) / E
     else:
-        out = _conv(w, what, table, method)
+        out = conv(w, what)
     return table.state(out, W.frame, W.t)
 
 
@@ -137,7 +127,9 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
         omega_k^s) * w_j^r what_k^s * exp(-i (omega_j^r + omega_k^s) t/eps)
 
     where the primed sum omits exactly resonant pairs (decided exactly on
-    cube lattices).  Inputs must be purely fast.
+    cube lattices).  Inputs must be purely fast.  An output key is present
+    where at least one present, non-resonant input pair with a nonzero
+    coefficient sum lands.
     """
     We._compat(Whate)
     for st, name in ((We, "first"), (Whate, "second")):
@@ -145,32 +137,35 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
             if key[3] == SLOW:
                 raise ValueError(f"apply_Bomega: {name} input has slow "
                                  f"content at {key!r}")
-    dom = We.domain
-    out = {}
-    t_eps = frame_time if frame_time is not None else (0.0, 1.0)
-    for (j1, j2, j3, r), wj in We.items():
-        jv = WaveVector.from_ints(dom, (j1, j2, j3))
-        wjr = frequencies(jv)[A2I[r]]
-        for (k1, k2, k3, s), wk in Whate.items():
-            l = (j1 + k1, j2 + k2, j3 + k3)
-            if l == (0, 0, 0):
-                continue
-            lk = dom.wavevector(*l)
-            if lk.kabs > We.kmax * (1 + 1e-12):
-                continue
-            if exact_resonance(dom, (j1, j2, j3), r, (k1, k2, k3), s):
-                continue
-            wks = frequencies(dom.wavevector(k1, k2, k3))[A2I[s]]
-            wsum = wjr + wks
-            csum = (coeff(dom, (j1, j2, j3), r, (k1, k2, k3), s, l, 0)
-                    + coeff(dom, (k1, k2, k3), s, (j1, j2, j3), r, l, 0))
-            if csum == 0.0:
-                continue
-            t, eps = t_eps
-            ph = np.exp(-1j * wsum * t / eps) if frame_time is not None else 1.0
-            key = (*l, 0)
-            out[key] = out.get(key, 0.0j) + 0.5j * csum / wsum * wj * wk * ph
-    return We.replace(coeffs=out)
+    table = mode_table(We.domain, We.kmax)
+    w, wh = table.dense(We), table.dense(Whate)
+    has_w, has_wh = _present(table, We), _present(table, Whate)
+    K = np.nonzero(has_wh.any(axis=0))[0]
+    acc = np.zeros(table.nk, dtype=complex)
+    hit = np.zeros(table.nk, dtype=bool)
+    for jn in np.nonzero(has_w.any(axis=0))[0]:
+        b = table.fast_fast_slow(jn, K)
+        keep = (has_w[R_ROWS, jn] & has_wh[S_ROWS, b.K] & ~b.res
+                & (b.csum != 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = (0.5j * b.csum / b.wsum * w[R_ROWS, jn]
+                   * wh[S_ROWS, b.K])
+        if frame_time is not None:
+            t, eps = frame_time
+            val = val * np.exp(-1j * b.wsum * t / eps)
+        # each k gives its own l = j + k, so a column sum has no collisions
+        acc[b.L] += np.where(keep, val, 0.0).sum(axis=0)
+        hit[b.L] |= keep.any(axis=0)
+    return We.replace(coeffs={(*map(int, table.ints[n]), 0): acc[n]
+                              for n in np.nonzero(hit)[0]})
+
+
+def _present(table, state) -> np.ndarray:
+    """(3, nk) mask of the slots that hold a key of state (even a zero)."""
+    mask = np.zeros((3, table.nk), dtype=bool)
+    for key in state:
+        mask[table.key_slot(key)] = True
+    return mask
 
 
 def dump_coeffs_csv(domain, kmax: float, path) -> int:
@@ -183,7 +178,6 @@ def dump_coeffs_csv(domain, kmax: float, path) -> int:
     if table._triads is None:
         table._build_triads()
     jj, kk, ll, cc = table._triads
-    from ._engine import I2A
     n = table.nk
     rows = 0
     with open(path, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import A2I, exact_resonance, mode_table
+from ._engine import FAST_PAIRS, exact_resonance, mode_table
 from .lattice import DomainSpec
 
 __all__ = [
@@ -143,82 +143,38 @@ def casewise_bound(record: TriadRecord, theta0: float = DEFAULT_THETA0,
     raise AssertionError(case)
 
 
-def _row_arrays(table):
-    """Cached per-row physical quantities used by the scans."""
-    kp = table.kphys
-    kperp = np.sqrt(kp[:, 0] ** 2 + kp[:, 1] ** 2)
-    return kperp
-
-
-def _scan_rows(domain, table, jn, K, theta0):
+def _scan_rows(table, jn, K):
     """All triads with the j-mode fixed at table row jn, k over rows K.
 
-    Returns a dict of flat arrays over (pair, rs-combo) with fields needed
-    by both the streaming enumeration and the audit reduction.
+    Returns a dict with the closing rows K and lrow (m,) and (4, m) arrays
+    over the fast pairs (r, s) in ``FAST_PAIRS`` order: the fields needed
+    by both the streaming enumeration and the audit reduction.  None when
+    no k closes a triad.
     """
-    ints = table.ints
-    vol = domain.volume
-    lint = ints[jn][None, :] + ints[K]
-    lrow = table.rows_of(lint)
-    ok = lrow >= 0
-    K = K[ok]
-    lrow = lrow[ok]
-    m = len(K)
+    b = table.fast_fast_slow(jn, K)
+    m = len(b.K)
     if m == 0:
         return None
-    kph = table.kphys
-    kabs = table.kabs
-    kperp = np.sqrt(kph[:, 0] ** 2 + kph[:, 1] ** 2)
-    jp0 = ints[jn][0] == 0 and ints[jn][1] == 0
-    kp0 = (ints[K][:, 0] == 0) & (ints[K][:, 1] == 0)
-    lp0 = (lint[ok][:, 0] == 0) & (lint[ok][:, 1] == 0)
-
-    # exact-resonance cone test (integer on cube lattices)
-    cube = domain.L1 == domain.L2 == domain.L3
-    nj2 = int((ints[jn] ** 2).sum())
-    nk2 = (ints[K] ** 2).sum(axis=1)
-    cone = nj2 * ints[K][:, 2] ** 2 == nk2 * ints[jn][2] ** 2 if cube else None
-
-    X0l = table.X[0, lrow].real  # slow eigenvectors are real
-    out = {}
-    for r in (1, -1):
-        ri = A2I[r]
-        wj = table.omega[ri, jn]
-        adv_jk = (1j * (table.VX[ri, jn] @ kph[K].T))  # (m,)
-        dot_jl = np.einsum("c,mc->m", table.X[ri, jn], X0l)
-        for s in (1, -1):
-            si = A2I[s]
-            wk = table.omega[si, K]
-            wsum = wj + wk
-            adv_kj = 1j * (table.VX[si, K] @ kph[jn])
-            dot_kl = np.einsum("mc,mc->m", table.X[si, K], X0l)
-            csum = vol * (adv_jk * dot_kl + adv_kj * dot_jl)
-            if cube:
-                sgj = r if ints[jn][2] > 0 else -r
-                sgk = np.where(ints[K][:, 2] > 0, s, -s)
-                res = np.where(jp0 & kp0, r == -s,
-                               np.where(jp0 | kp0, False, cone & (sgj == -sgk)))
-            else:
-                res = np.abs(wsum) <= 1e-12 * np.maximum(np.abs(wj), np.abs(wk))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = np.where(wj == wk, np.inf, wsum / (wj - wk))
-            out[(r, s)] = dict(K=K, lrow=lrow, wsum=wsum, csum=csum, res=res,
-                               theta=theta, jp0=jp0, kp0=kp0, lp0=lp0,
-                               jabs=kabs[jn], kabs=kabs[K], labs=kabs[lrow],
-                               j3=abs(kph[jn][2]), k3=np.abs(kph[K][:, 2]))
-    return out
+    ints, kph, kabs = table.ints, table.kphys, table.kabs
+    pair = lambda a: np.broadcast_to(a, (4, m))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(b.wj == b.wk, np.inf, b.wsum / (b.wj - b.wk))
+    return dict(K=b.K, lrow=b.L, wsum=b.wsum,
+                csum=table.domain.volume * b.csum, res=b.res, theta=theta,
+                jp0=ints[jn][0] == 0 and ints[jn][1] == 0,
+                kp0=pair((ints[b.K][:, 0] == 0) & (ints[b.K][:, 1] == 0)),
+                lp0=pair((ints[b.L][:, 0] == 0) & (ints[b.L][:, 1] == 0)),
+                jabs=kabs[jn], kabs=pair(kabs[b.K]), labs=pair(kabs[b.L]),
+                j3=abs(kph[jn][2]), k3=pair(np.abs(kph[b.K][:, 2])))
 
 
 def _bounds_and_cases(d, theta0, vol):
     """Vectorized case labels and bounds for one _scan_rows block."""
-    m = len(d["K"])
-    case = np.full(m, "a", dtype=object)
     both0 = d["jp0"] & d["kp0"]
     one0 = np.logical_xor(d["jp0"], d["kp0"])
-    case[d["lp0"]] = "b"
-    case[one0] = "c"
-    case[d["res"]] = "b'"
-    case[both0] = "a'"
+    # the first label whose condition holds wins
+    case = np.select([both0, d["res"], one0, d["lp0"]],
+                     ["a'", "b'", "c", "b"], "a")
     wsa = np.abs(d["wsum"])
     near = np.abs(d["theta"]) <= theta0
     b_a = np.where(near,
@@ -248,33 +204,27 @@ def enumerate_triads(domain: DomainSpec, kmax: float,
     J = np.nonzero(table.fast_ok)[0]
     vol = domain.volume
     for jn in J:
-        block = _scan_rows(domain, table, jn, J, theta0)
-        if block is None:
+        d = _scan_rows(table, jn, J)
+        if d is None:
             continue
         j = tuple(int(x) for x in table.ints[jn])
+        case, bnd = _bounds_and_cases(d, theta0, vol)
+        weight = d["jabs"] * d["kabs"] / d["labs"] + d["j3"] + d["k3"]
         # regroup per pair so output order is j, k, (r,s)
-        anyd = block[(1, 1)]
-        per_rs = {}
-        for rs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            d = block[rs]
-            case, bnd = _bounds_and_cases(d, theta0, vol)
-            per_rs[rs] = (d, case, bnd)
-        for m in range(len(anyd["K"])):
-            k = tuple(int(x) for x in table.ints[anyd["K"][m]])
-            l = tuple(int(x) for x in table.ints[anyd["lrow"][m]])
-            for rs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                d, case, bnd = per_rs[rs]
-                csum = complex(d["csum"][m])
-                wsum = float(d["wsum"][m])
-                res = bool(d["res"][m])
-                weight = float(d["jabs"] * d["kabs"][m] / d["labs"][m]
-                               + d["j3"] + d["k3"][m])
-                ratio = 0.0 if res else abs(csum) / (abs(wsum) * weight)
-                yield TriadRecord(j=j, r=rs[0], k=k, s=rs[1], l=l,
+        for m in range(len(d["K"])):
+            k = tuple(int(x) for x in table.ints[d["K"][m]])
+            l = tuple(int(x) for x in table.ints[d["lrow"][m]])
+            for q, (r, s) in enumerate(FAST_PAIRS):
+                csum = complex(d["csum"][q, m])
+                wsum = float(d["wsum"][q, m])
+                w = float(weight[q, m])
+                ratio = 0.0 if d["res"][q, m] else abs(csum) / (abs(wsum) * w)
+                yield TriadRecord(j=j, r=r, k=k, s=s, l=l,
                                   omega_sum=wsum, coeff_sum=csum,
-                                  case=str(case[m]), theta=float(d["theta"][m]),
-                                  bound=float(bnd[m]), ratio=ratio,
-                                  weight=weight)
+                                  case=str(case[q, m]),
+                                  theta=float(d["theta"][q, m]),
+                                  bound=float(bnd[q, m]), ratio=ratio,
+                                  weight=w)
 
 
 @dataclass
@@ -350,38 +300,38 @@ def audit(domain: DomainSpec, kmax: float,
     # evaluated here in floating point
     slack = 1e-9 * vol
     for jn in J:
-        block = _scan_rows(domain, table, jn, J, theta0)
-        if block is None:
+        d = _scan_rows(table, jn, J)
+        if d is None:
             continue
-        for rs, d in block.items():
-            case, bnd = _bounds_and_cases(d, theta0, vol)
-            ac = np.abs(d["csum"])
-            res = d["res"]
-            n_triads += len(ac)
-            for c in _CASES:
-                counts[c] += int((case == c).sum())
-            if res.any():
-                scale = vol * np.maximum(1.0, d["jabs"] * d["kabs"][res])
-                max_res = max(max_res, float((ac[res] / scale).max()))
-            nr = ~res
-            if nr.any():
-                weight = (d["jabs"] * d["kabs"][nr] / d["labs"][nr]
-                          + d["j3"] + d["k3"][nr])
-                ratio = ac[nr] / (np.abs(d["wsum"][nr]) * weight)
-                near = np.abs(d["theta"][nr]) <= theta0
-                if near.any():
-                    max_near = max(max_near, float(ratio[near].max()))
-                i = int(np.argmax(ratio))
-                if ratio[i] > max_ratio:
-                    max_ratio = float(ratio[i])
-                    kn = d["K"][nr][i]
-                    argmax = (tuple(int(x) for x in table.ints[jn]), rs[0],
-                              tuple(int(x) for x in table.ints[kn]), rs[1])
-                excess = ac[nr] - bnd[nr]
-                bad = excess > slack
-                n_viol += int(bad.sum())
-                if bad.any():
-                    worst_viol = max(worst_viol, float(excess[bad].max()))
+        case, bnd = _bounds_and_cases(d, theta0, vol)
+        ac = np.abs(d["csum"])
+        res = d["res"]
+        n_triads += ac.size
+        for c in _CASES:
+            counts[c] += int((case == c).sum())
+        if res.any():
+            scale = vol * np.maximum(1.0, d["jabs"] * d["kabs"][res])
+            max_res = max(max_res, float((ac[res] / scale).max()))
+        nr = ~res
+        if nr.any():
+            weight = (d["jabs"] * d["kabs"][nr] / d["labs"][nr]
+                      + d["j3"] + d["k3"][nr])
+            ratio = ac[nr] / (np.abs(d["wsum"][nr]) * weight)
+            near = np.abs(d["theta"][nr]) <= theta0
+            if near.any():
+                max_near = max(max_near, float(ratio[near].max()))
+            i = int(np.argmax(ratio))
+            if ratio[i] > max_ratio:
+                max_ratio = float(ratio[i])
+                q, m = (ix[i] for ix in np.nonzero(nr))
+                r, s = FAST_PAIRS[q]
+                argmax = (tuple(int(x) for x in table.ints[jn]), r,
+                          tuple(int(x) for x in table.ints[d["K"][m]]), s)
+            excess = ac[nr] - bnd[nr]
+            bad = excess > slack
+            n_viol += int(bad.sum())
+            if bad.any():
+                worst_viol = max(worst_viol, float(excess[bad].max()))
     cube = domain.L1 == domain.L2 == domain.L3
     return AuditReport(kmax=float(kmax), theta0=theta0, n_triads=n_triads,
                        case_counts=counts, max_ratio=max_ratio,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._engine import ModeTable, mode_table
+from ._engine import A2I, ModeTable, mode_table
 from .dynamics import ForcingSpec
 from .lattice import DomainSpec, SpectralState
 
@@ -73,7 +73,7 @@ class _Ctx:
         for key, v in forcing.coeffs.items():
             n = table.row.get(key[:3])
             if n is not None:
-                fd[_AI[key[3]], n] = amp * v
+                fd[A2I[key[3]], n] = amp * v
         fd /= self.E
         self.f_slow = np.zeros_like(fd)
         self.f_slow[0] = fd[0]
@@ -107,8 +107,6 @@ class _Ctx:
         out[0] = const
         return out
 
-
-_AI = {0: 0, 1: 1, -1: 2}
 
 
 def _slow(j):
@@ -240,7 +238,7 @@ def g_of(W0: SpectralState, U: SpectralState, forcing: ForcingSpec,
         for key, v in st.items():
             n = table.row.get(key[:3])
             if n is not None:
-                w[_AI[key[3]], n] += v
+                w[A2I[key[3]], n] += v
     w0 = np.zeros_like(w)
     for key, v in W0.items():
         if key[3] == 0:

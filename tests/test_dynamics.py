@@ -2,6 +2,7 @@
 and physical-space reconstruction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,12 +35,23 @@ class TestValidation:
             SolverConfig(eps=0.1, mu=-1.0, dt=0.1, t_end=1.0, kmax=2.0)
         with pytest.raises(ValueError, match="dt"):
             SolverConfig(eps=0.1, mu=0.1, dt=0.0, t_end=1.0, kmax=2.0)
-        with pytest.raises(ValueError, match="integrator"):
-            SolverConfig(eps=0.1, mu=0.1, dt=0.1, t_end=1.0, kmax=2.0,
-                         integrator="euler")
         with pytest.raises(ValueError, match="cadence"):
             SolverConfig(eps=0.1, mu=0.1, dt=0.5, t_end=1.0, kmax=2.0,
                          record_every=4)
+
+    def test_unknown_conv_method_rejected(self):
+        with pytest.raises(ValueError, match="convolution method 'bogus'"):
+            SolverConfig(eps=0.1, mu=0.1, dt=0.1, t_end=1.0, kmax=2.0,
+                         conv_method="bogus")
+
+    def test_t_end_must_be_whole_steps(self):
+        for t_end in (1.0, -0.9):
+            with pytest.raises(ValueError, match="whole number of steps"):
+                SolverConfig(eps=0.1, mu=0.1, dt=0.3, t_end=t_end, kmax=2.0)
+        # float quotients within roundoff of an integer are whole steps
+        cfg = SolverConfig(eps=0.1, mu=0.1, dt=0.1, t_end=0.3, kmax=2.0)
+        rec, _ = integrate(SpectralState(DOM, 2.0, {}), cfg)
+        assert rec.times[-1] == pytest.approx(0.3, rel=1e-15)
 
     def test_forcing_reality_enforced(self):
         bad = SpectralState(DOM, 2.0, {(1, 0, 1, 0): 1.0}, frame="lab")
@@ -168,6 +180,21 @@ class TestBudget:
         assert abs(residual) <= 1e-11 * scale
         rec, _ = integrate(s, cfg, f)
         assert np.abs(rec.budget_residual).max() <= 1e-10
+
+    def test_budget_follows_conv_method(self, monkeypatch):
+        from geobalance._engine import ModeTable
+
+        def refuse(self, w, what):
+            raise AssertionError("conv_direct called for conv_method='grid'")
+
+        s = enforce_reality(random_state(DOM, 2.0, 48, scale=0.5))
+        grid = SolverConfig(eps=0.2, mu=0.3, dt=0.05, t_end=1.0, kmax=2.0,
+                            conv_method="grid")
+        f = _forcing(seed=49)
+        want = energy_budget(s, f, 0.3, replace(grid, conv_method="direct"))
+        monkeypatch.setattr(ModeTable, "conv_direct", refuse)
+        got = energy_budget(s, f, 0.3, grid)
+        assert got[:4] == pytest.approx(want[:4], rel=1e-11)
 
     def test_dissipation_sign_and_value(self):
         s = SpectralState(DOM, 2.0, {(1, 0, 1, 1): 1.0, (-1, 0, -1, 1): -1.0})

@@ -212,6 +212,68 @@ class TestApplyBomega:
         assert len(out) == 0  # a' triads carry zero coefficient anyway
 
 
+def _bomega_loop(We, Whate, frame_time=None):
+    """Brute-force apply_Bomega over every input pair, by the scalar
+    coefficient and resonance oracles; returns (values, sums of the
+    magnitudes of the terms) per output key."""
+    from geobalance._engine import exact_resonance
+    from geobalance.modes import frequencies
+    dom = We.domain
+    out, mag = {}, {}
+    for (*j, r), wj in We.items():
+        for (*k, s), wk in Whate.items():
+            l = tuple(a + b for a, b in zip(j, k))
+            if l == (0, 0, 0) \
+                    or dom.wavevector(*l).kabs > We.kmax * (1 + 1e-12):
+                continue
+            if exact_resonance(dom, j, r, k, s):
+                continue
+            csum = coeff(dom, j, r, k, s, l, 0) + coeff(dom, k, s, j, r, l, 0)
+            if csum == 0.0:
+                continue
+            wsum = (frequencies(dom.wavevector(*j))[1 if r == 1 else 2]
+                    + frequencies(dom.wavevector(*k))[1 if s == 1 else 2])
+            term = 0.5j * csum / wsum * wj * wk
+            if frame_time is not None:
+                t, eps = frame_time
+                term *= np.exp(-1j * wsum * t / eps)
+            out[(*l, 0)] = out.get((*l, 0), 0.0j) + term
+            mag[(*l, 0)] = mag.get((*l, 0), 0.0) + abs(term)
+    return out, mag
+
+
+def _assert_matches_loop(we, wh, frame_time=None):
+    got = apply_Bomega(we, wh, frame_time=frame_time)
+    want, mag = _bomega_loop(we, wh, frame_time)
+    assert set(got.keys()) == set(want)
+    for key, v in want.items():
+        # relative to the summed term magnitudes, since a key's terms can
+        # cancel
+        assert abs(got[key] - v) <= 1e-13 * mag[key], key
+    return want
+
+
+class TestApplyBomegaAgainstLoop:
+    @pytest.mark.parametrize("dom,kmax", [
+        (DOM, 2.0), (DOM, 3.0), (DomainSpec(2 * math.pi, 4.0, 3.0), 2.5)])
+    @pytest.mark.parametrize("frame_time", [None, (0.37, 0.05)])
+    def test_matches_pair_loop(self, dom, kmax, frame_time):
+        for seed in (51, 52):
+            we = random_state(dom, kmax, seed).branch((1, -1))
+            wh = random_state(dom, kmax, seed + 10).branch((1, -1))
+            assert _assert_matches_loop(we, wh, frame_time)
+
+    def test_sparse_inputs_keep_key_rule(self):
+        # stored zeros count as present: a pair with a zero input still
+        # puts its key in the output
+        we = SpectralState(DOM, 3.0, {(1, 0, 1, 1): 2.0, (0, 0, 1, 1): 0.0,
+                                      (0, 1, -1, -1): 1.5j})
+        wh = SpectralState(DOM, 3.0, {(0, 1, 1, 1): 3.0, (0, 0, -2, -1): 1.0,
+                                      (1, 1, -1, 1): 0.0})
+        want = _assert_matches_loop(we, wh)
+        assert 0.0 in want.values()
+
+
 class TestDump:
     def test_csv_rows(self, tmp_path):
         p = tmp_path / "coeffs.csv"
