@@ -1,13 +1,13 @@
 """Dense vectorized kernels shared by the convolution, dynamics, resonance
 and manifold modules.
 
-A :class:`ModeTable` freezes the mode enumeration for one (domain, cutoff)
-pair and carries per-mode arrays: eigenvectors, advection vectors and
-frequencies, all built from the closed forms in :mod:`geobalance.modes`.
-Dense states are complex arrays of shape (3, nk): row 0 = slow branch,
-row 1 = plus branch, row 2 = minus branch, columns in the fixed
-lexicographic wavevector order.  Unavailable slots (fast rows at l3 = 0)
-are structurally zero.
+A :class:`ModeTable` adds to the lattice index of one (domain, cutoff)
+pair the per-mode eigenvectors and advection vectors, built from the
+closed forms in :mod:`geobalance.modes`.  Its kernels act on the (3, nk)
+slot arrays that a :class:`~geobalance.lattice.SpectralState` stores (row
+0 = slow branch, row 1 = plus, row 2 = minus, columns in lexicographic
+wavevector order); fast slots at l3 = 0 are structurally zero.
+:func:`mode_table` keeps the ``TABLE_CACHE_SIZE`` most recently used.
 
 The table is the one triad engine: :meth:`ModeTable.closing_rows` finds
 the triads j + k = l inside the table, :meth:`ModeTable.coeff` holds the
@@ -31,22 +31,22 @@ modes and ``conv_grid`` above, whichever measured faster.
 
 from __future__ import annotations
 
-import math
+import functools
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import DomainSpec, SpectralState, wavevectors
+from .lattice import (A2I, I2A, DomainSpec, SpectralState, WaveVector,
+                      _embed, _index, _norm)
 from .modes import advection_vector, eigenframe, frequencies
-
-# branch label <-> row index
-I2A = (0, 1, -1)
-A2I = {0: 0, 1: 1, -1: 2}
 
 CONV_METHODS = ("auto", "direct", "grid")
 # "auto" crossover, best of 50 calls on the 2 pi cube (2-vCPU Xeon, numpy
 # 2.4), grid / direct: 0.64 / 0.57 ms at nk 80, 0.67 / 0.76 ms at nk 92
 AUTO_DIRECT_MAX_NK = 80
+# tables kept by mode_table, least recently used dropped first: enough for
+# the full and strict-kappa tables of a scan, or one benchmark workload
+TABLE_CACHE_SIZE = 4
 
 # fast branch pairs (r, s) in canonical order; the rows of r and of s and
 # the sign products r s, each shaped (4, 1)
@@ -88,19 +88,16 @@ class ModeTable:
         self.domain = domain
         self.kmax = float(kmax)
         self.strict = bool(strict)
-        kvs = wavevectors(domain, kmax)
-        if strict:
-            kvs = [kv for kv in kvs if kv.kabs < kmax]
-        self.nk = nk = len(kvs)
-        self.ints = np.array([kv.l for kv in kvs], dtype=np.int64).reshape(nk, 3)
-        self.kphys = np.array([kv.k for kv in kvs], dtype=float).reshape(nk, 3)
-        self.kabs = np.sqrt((self.kphys ** 2).sum(axis=1))
+        self.index = ix = _index(domain, self.kmax, self.strict)
+        self.nk = nk = ix.nk
+        self.ints, self.kphys, self.kabs, self.omega = (ix.ints, ix.kphys,
+                                                        ix.kabs, ix.omega)
         self.fast_ok = self.ints[:, 2] != 0
 
         self.X = np.zeros((3, nk, 3), dtype=complex)
         self.VX = np.zeros((3, nk, 3), dtype=complex)
-        self.omega = np.zeros((3, nk), dtype=float)
-        for n, kv in enumerate(kvs):
+        for n, l in enumerate(self.ints.tolist()):
+            kv = WaveVector.from_ints(domain, l)
             fr = eigenframe(kv)
             self.X[0, n] = fr.X0
             self.VX[0, n] = advection_vector(kv, 0)
@@ -109,61 +106,29 @@ class ModeTable:
                 self.X[2, n] = fr.X_minus
                 self.VX[1, n] = advection_vector(kv, 1)
                 self.VX[2, n] = advection_vector(kv, -1)
-                self.omega[1, n] = fr.omega_plus
-                self.omega[2, n] = fr.omega_minus
-
-        self.row = {tuple(l): n for n, l in enumerate(self.ints.tolist())}
-        # dense integer-triple -> row lookup for vectorized convolutions
-        self._span = span = int(np.abs(self.ints).max(initial=0))
-        side = 2 * span + 1
-        lut = np.full((side, side, side), -1, dtype=np.int64)
-        for n, l in enumerate(self.ints):
-            lut[l[0] + span, l[1] + span, l[2] + span] = n
-        self._lut = lut
         self._triads = None
         self._grid = None
 
-    # -- state <-> dense ---------------------------------------------------
-    def key_slot(self, key):
-        return A2I[key[3]], self.row[key[:3]]
-
     def dense(self, state: SpectralState) -> np.ndarray:
-        w = np.zeros((3, self.nk), dtype=complex)
-        for key, v in state.items():
-            ai, n = self.key_slot(key)
-            w[ai, n] = v
-        return w
-
-    def state(self, w: np.ndarray, frame="rotated", t=0.0) -> SpectralState:
-        c = {}
-        for ai in range(3):
-            for n in np.nonzero(w[ai])[0]:
-                l = self.ints[n]
-                c[(int(l[0]), int(l[1]), int(l[2]), I2A[ai])] = w[ai, n]
-        return SpectralState(self.domain, self.kmax, c, frame, t)
+        """The state's (read-only) slot array, on this table's rows."""
+        return _embed(state.array, state.index, self.index)
 
     def rows_of(self, ints) -> np.ndarray:
         """Rows for an (m,3) int array; -1 where outside the table."""
-        s = self._span
-        ok = (np.abs(ints) <= s).all(axis=1)
-        out = np.full(len(ints), -1, dtype=np.int64)
-        ii = ints[ok] + s
-        out[ok] = self._lut[ii[:, 0], ii[:, 1], ii[:, 2]]
-        return out
+        return self.index.rows_of(ints)
 
     def phase(self, t: float, eps: float) -> np.ndarray:
         """exp(-i omega t / eps), shape (3, nk); converts rotated -> lab."""
         return np.exp(-1j * self.omega * (t / eps))
 
     def sob_norm(self, w: np.ndarray, s: float = 0.0) -> float:
-        wt = self.kabs ** (2.0 * s) if s else 1.0
-        return math.sqrt(float((wt * (np.abs(w) ** 2).sum(axis=0)).sum()))
+        return _norm(self.kabs ** (2.0 * s) if s else 1.0, w)
 
     # -- the triad engine --------------------------------------------------
     def closing_rows(self, jn: int, K: np.ndarray):
         """Rows k of K with j + k inside the table (j = row jn), and the
         rows of those sums l = j + k."""
-        L = self.rows_of(self.ints[jn][None, :] + self.ints[K])
+        L = self.index.rows_of(self.ints[jn][None, :] + self.ints[K])
         ok = L >= 0
         return K[ok], L[ok]
 
@@ -285,14 +250,15 @@ class ModeTable:
         return np.einsum("cn,anc->an", adv, np.conj(self.X))
 
 
-_tables: dict = {}
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _table(domain: DomainSpec, kmax: float, strict: bool) -> ModeTable:
+    return ModeTable(domain, kmax, strict)
 
 
 def mode_table(domain: DomainSpec, kmax: float, strict: bool = False) -> ModeTable:
-    key = (domain, float(kmax), bool(strict))
-    if key not in _tables:
-        _tables[key] = ModeTable(domain, kmax, strict)
-    return _tables[key]
+    """The shared table of one lattice, from a cache of the
+    ``TABLE_CACHE_SIZE`` most recently used (``_table.cache_info()``)."""
+    return _table(domain, float(kmax), bool(strict))
 
 
 def exact_resonance(domain: DomainSpec, j, r, k, s) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .dynamics import ForcingSpec, SolverConfig, integrate
+from .dynamics import ForcingSpec, SolverConfig, _whole_steps, integrate
 from .experiments import (DEFAULT_KMAX, DEFAULT_MU, DEFAULT_OVERSAMPLE,
                           DEFAULT_SEED, DEFAULT_TRANSIENT, balance_scan,
                           default_forcing, manifold_scan, oscillation_dt,
@@ -252,6 +252,9 @@ def read_snapshot(path) -> SpectralState:
         except ValueError as exc:
             raise SnapshotError(f"bad mode row: {exc}", off)
         coeffs[(l1, l2, l3, a)] = complex(re, im)
+    if len(lines) <= 6 + nmodes:  # the last line read has no line end
+        raise SnapshotError("truncated snapshot: last line unterminated",
+                            lines[-1][0])
     return SpectralState(DomainSpec(L1, L2, L3), kmax, coeffs,
                          frame=fieldsv["frame"], t=t)
 
@@ -262,8 +265,8 @@ def _audit_identities(cfg: RunConfig, out):
     """Invariant suite over seeded constrained states; pass/fail table."""
     from .dynamics import apply_A
     from .interactions import apply_B, pairing
-    from .modes import apply_L, eigenframe, frequencies, slow_fast_split
-    from .lattice import wavevectors
+    from ._engine import mode_table
+    from .modes import apply_L, slow_fast_split
 
     dom = cfg.domain()
     kmax = cfg.kmax
@@ -289,17 +292,14 @@ def _audit_identities(cfg: RunConfig, out):
         s, f = slow_fast_split(W)
         worst["split_orth"] = max(worst["split_orth"],
                                   abs(pairing(s, f)) / n2)
-    frame_dev = 0.0
-    floor = math.inf
-    for kv in wavevectors(dom, min(kmax, 8.0)):
-        fr = eigenframe(kv)
-        vs = [fr.X0] + ([fr.X_plus, fr.X_minus] if fr.has_fast else [])
-        for i, a in enumerate(vs):
-            for j, b in enumerate(vs):
-                d = abs(np.dot(a, np.conj(b)) - (1.0 if i == j else 0.0))
-                frame_dev = max(frame_dev, d)
-        if fr.has_fast:
-            floor = min(floor, abs(fr.omega_plus), abs(fr.omega_minus))
+    table = mode_table(dom, min(kmax, 8.0))
+    # Gram matrices of the eigenframes; absent fast frames are zero rows
+    gram = np.einsum("anc,bnc->nab", table.X, np.conj(table.X))
+    has = np.ones((table.nk, 3), dtype=bool)
+    has[:, 1:] = table.fast_ok[:, None]
+    eye = np.eye(3, dtype=bool) & has[:, :, None]
+    frame_dev = float(np.abs(gram - eye).max(initial=0.0))
+    floor = float(np.abs(table.omega[1:, table.fast_ok]).min(initial=math.inf))
     checks = [
         ("L antisymmetry", worst["l_antisym"], 1e-12),
         ("B energy conservation", worst["b_conserve"], 1e-10),
@@ -368,7 +368,10 @@ def run(command: str, cfg: RunConfig) -> int:
         forcing = _forcing_for(cfg)
         dt = cfg.dt or oscillation_dt(dom, cfg.kmax, cfg.epsilon,
                                       cfg.oversample)
-        nsteps = max(1, int(math.ceil(cfg.t_end / dt)))
+        whole = _whole_steps(cfg.t_end, dt)  # SolverConfig's rounding
+        nsteps = whole or max(1, math.ceil(cfg.t_end / dt))
+        note = "" if whole else (f" (t_end {cfg.t_end:g} rounded up to "
+                                 f"{nsteps * dt:g} ({nsteps} x dt))")
         sc = SolverConfig(eps=cfg.epsilon, mu=cfg.mu, dt=dt,
                           t_end=nsteps * dt, kmax=cfg.kmax,
                           record_every=max(1, nsteps // 500))
@@ -381,7 +384,7 @@ def run(command: str, cfg: RunConfig) -> int:
                                  f"kmax = {cfg.kmax:.17g}",
                                  f"seed = {cfg.seed}"])
         write_snapshot(final, os.path.join(out, "final_state.snap"))
-        print(f"simulate: {nsteps} steps, final ||W|| = "
+        print(f"simulate: {nsteps} steps{note}, final ||W|| = "
               f"{sobolev_norm(final):.6g}, reality defect "
               f"{check_reality(final):.3e}")
         return 0

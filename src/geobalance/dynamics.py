@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import CONV_METHODS, mode_table
-from .lattice import SLOW, DomainSpec, SpectralState, check_reality
+from .lattice import DomainSpec, SpectralState, _embed, check_reality
 
 __all__ = [
     "ForcingSpec",
@@ -56,8 +56,7 @@ class ForcingSpec:
 
     def __post_init__(self):
         viol = check_reality(self.coeffs)
-        scale = max(1.0, max((abs(v) for _, v in self.coeffs.items()),
-                             default=0.0))
+        scale = max(1.0, float(np.abs(self.coeffs.array).max(initial=0.0)))
         if viol > 1e-10 * scale:
             raise ValueError(
                 f"forcing violates reality constraints (defect {viol:g})")
@@ -69,8 +68,7 @@ class ForcingSpec:
     @property
     def ageostrophic(self) -> bool:
         """True when any fast-branch component is present."""
-        return any(key[3] != SLOW and v != 0.0
-                   for key, v in self.coeffs.items())
+        return bool(self.coeffs.array[1:].any())
 
     def amplitude(self, t: float):
         return 1.0 if self.modulation is None else self.modulation(t)
@@ -104,7 +102,7 @@ class SolverConfig:
                              f"{self.conv_method!r}; choose from "
                              f"{', '.join(CONV_METHODS)}")
         n = self.t_end / self.dt
-        if not (n >= 0 and abs(n - round(n)) <= 1e-9 * max(1.0, n)):
+        if not (n >= 0 and _whole_steps(self.t_end, self.dt) is not None):
             raise ValueError(f"t_end = {self.t_end!r} must be a whole number "
                              f"of steps dt = {self.dt!r}, >= 0 "
                              f"(t_end/dt = {n!r})")
@@ -138,20 +136,22 @@ class TrajectoryRecord:
                          f"{self.h1[i]:.17g},{self.budget_residual[i]:.17g}\n")
 
 
+def _whole_steps(t_end: float, dt: float):
+    """t_end / dt if within 1e-9 relative of a whole number, else None."""
+    n = t_end / dt
+    m = round(n)
+    return m if abs(n - m) <= 1e-9 * max(1.0, n) else None
+
+
 def apply_A(state: SpectralState, mu: float) -> SpectralState:
     """Diagonal dissipation: every coefficient times mu |k|^2."""
-    f = state.domain.k_factors()
-    out = {}
-    for key, v in state.items():
-        kk = (f[0] * key[0]) ** 2 + (f[1] * key[1]) ** 2 + (f[2] * key[2]) ** 2
-        out[key] = mu * kk * v
-    return state.replace(coeffs=out)
+    return state._with(mu * state.index.kabs ** 2 * state.array, state.mask)
 
 
 def _dense_forcing(table, forcing):
     if forcing is None:
         return np.zeros((3, table.nk), dtype=complex)
-    return table.dense(forcing.coeffs)
+    return _embed(forcing.coeffs.array, forcing.coeffs.index, table.index)
 
 
 def _rhs(table, w, t, cfg, fdense, forcing, conv):
@@ -170,12 +170,12 @@ def tendency(state: SpectralState, t: float, cfg: SolverConfig,
     if state.frame != "rotated":
         raise ValueError("tendency expects a rotated-frame state")
     table = mode_table(state.domain, state.kmax)
-    w = table.dense(state)
+    w = state.array
     fdense = _dense_forcing(table, forcing)
     conv = table.conv(cfg.conv_method)
     out = _rhs(table, w, t, cfg, fdense, forcing, conv) \
         - cfg.mu * table.kabs ** 2 * w
-    return table.state(out, state.frame, t)
+    return SpectralState._of(table.index, out, frame=state.frame, t=t)
 
 
 def integrate(state0: SpectralState, cfg: SolverConfig,
@@ -191,7 +191,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     if state0.frame != "rotated":
         raise ValueError("integrate expects a rotated-frame initial state")
     table = mode_table(state0.domain, state0.kmax)
-    w = table.dense(state0)
+    w = state0.array
     fdense = _dense_forcing(table, forcing)
     conv = table.conv(cfg.conv_method)
     h = cfg.dt
@@ -205,8 +205,8 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     states = [] if keep_states else None
 
     def record(t, w):
-        if keep_states:
-            states.append(table.state(w.copy(), "rotated", t))
+        if keep_states:  # w is never written in place
+            states.append(SpectralState._of(table.index, w, t=t))
         fast = np.abs(w[1:]) ** 2
         slow = np.abs(w[0]) ** 2
         tot = fast.sum() + slow.sum()
@@ -241,7 +241,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
                            e_fast=np.array(ef), e_slow=np.array(es),
                            h1=np.array(h1), budget_residual=np.array(br),
                            states=states)
-    return rec, table.state(w, "rotated", t0 + nsteps * h)
+    return rec, SpectralState._of(table.index, w, t=t0 + nsteps * h)
 
 
 def _budget_dense(table, w, t, cfg, fdense, forcing, conv):
@@ -278,7 +278,7 @@ def energy_budget(state: SpectralState, forcing: ForcingSpec | None,
                   t: float, cfg: SolverConfig):
     """Term-by-term fast-energy budget; see :func:`_budget_dense`."""
     table = mode_table(state.domain, state.kmax)
-    w = table.dense(state)
+    w = state.array
     fdense = _dense_forcing(table, forcing)
     return _budget_dense(table, w, t, cfg, fdense, forcing,
                          table.conv(cfg.conv_method))
@@ -298,41 +298,37 @@ def reconstruct_fields(state: SpectralState, resolution) -> dict:
     The z grid is symmetric about 0, so the even/odd symmetries of the
     fields are directly visible on it.
     """
-    from .modes import to_vector_coefficients
+    from .modes import _vectors
 
     if isinstance(resolution, int):
         dims = (resolution,) * 3
     else:
         dims = tuple(int(n) for n in resolution)
     dom = state.domain
-    lmax = [0, 0, 0]
-    for key in state:
-        for d in range(3):
-            lmax[d] = max(lmax[d], abs(key[d]))
+    F, rows = _vectors(state)
+    F, l = F[rows].T, state.index.ints[rows]
+    k1, k2, k3 = state.index.kphys[rows].T
+    lmax = np.abs(l).max(axis=0, initial=0).tolist()
     for d in range(3):
         if dims[d] < 2 * lmax[d] + 1:
             raise ValueError(
                 f"grid axis {d} has {dims[d]} points, needs >= "
                 f"{2 * lmax[d] + 1} to hold the state without aliasing")
 
-    vc = to_vector_coefficients(state)
-    spec = {name: np.zeros(dims, dtype=complex)
-            for name in ("v1", "v2", "rho", "u3", "delta_p", "p_avg")}
-    for l, F in vc.items():
-        kv = dom.wavevector(*l)
-        k1, k2, k3 = kv.k
-        # z offset: grid starts at -L3/2, so each mode picks up (-1)^l3
-        idx = tuple(l[d] % dims[d] for d in range(3))
-        ph = -1.0 if l[2] % 2 else 1.0
-        spec["v1"][idx] += ph * F[0]
-        spec["v2"][idx] += ph * F[1]
-        spec["rho"][idx] += ph * F[2]
-        if k3 != 0.0:
-            spec["u3"][idx] += ph * (-(k1 * F[0] + k2 * F[1]) / k3)
-            spec["delta_p"][idx] += ph * (1j * F[2] / k3)
-        elif kv.kperp > 0.0:
-            spec["p_avg"][idx] += ph * (1j * (k2 * F[0] - k1 * F[1])
-                                        / kv.kperp ** 2)
+    flat = k3 == 0.0  # l3 = 0: no u3 or delta_p, but the depth average
+    k3 = np.where(flat, 1.0, k3)
+    kp2 = np.where(flat, k1 ** 2 + k2 ** 2, 1.0)
+    coef = dict(v1=F[0], v2=F[1], rho=F[2],
+                u3=np.where(flat, 0.0, -(k1 * F[0] + k2 * F[1]) / k3),
+                delta_p=np.where(flat, 0.0, 1j * F[2] / k3),
+                p_avg=np.where(flat, 1j * (k2 * F[0] - k1 * F[1]) / kp2, 0.0))
+    # z offset: grid starts at -L3/2, so each mode picks up (-1)^l3
+    ph = np.where(l[:, 2] % 2, -1.0, 1.0)
+    idx = tuple(l[:, d] % dims[d] for d in range(3))
+    spec = {}
+    for name, c in coef.items():
+        spec[name] = np.zeros(dims, dtype=complex)
+        spec[name][idx] = ph * c
     ntot = int(np.prod(dims))
     out = {name: np.fft.ifftn(g) * ntot for name, g in spec.items()}
     out["x"] = dom.L1 * np.arange(dims[0]) / dims[0]

@@ -17,8 +17,8 @@ import numpy as np
 
 from ._engine import mode_table
 from .dynamics import ForcingSpec, SolverConfig, integrate
-from .lattice import (DomainSpec, SpectralState, enforce_reality,
-                      gevrey_norm, sobolev_norm, truncate, wavevectors)
+from .lattice import (DomainSpec, SpectralState, _embed, gevrey_norm,
+                      random_state, sobolev_norm, truncate)
 from .slowmanifold import ManifoldApprox, kappa_delta
 
 __all__ = [
@@ -144,21 +144,15 @@ def default_forcing(domain: DomainSpec, kmax: float = DEFAULT_KMAX,
                     ) -> ForcingSpec:
     """Seeded steady forcing on |k| <= support, reality-constrained, with
     slow and fast parts separately normalized in H^2."""
-    rng = np.random.default_rng(seed)
-    slow, fast = {}, {}
-    for kv in wavevectors(domain, support):
-        slow[(*kv.l, 0)] = complex(*rng.normal(size=2))
-        if kv.l[2] != 0:
-            fast[(*kv.l, 1)] = complex(*rng.normal(size=2))
-            fast[(*kv.l, -1)] = complex(*rng.normal(size=2))
+    st = SpectralState(domain, kmax, random_state(domain, support, seed),
+                       frame="lab")
 
-    def normed(c, target):
-        st = enforce_reality(SpectralState(domain, kmax, c, frame="lab"))
-        nrm = sobolev_norm(st, 2.0)
-        return st * (target / nrm) if nrm > 0 else st
+    def normed(part, target):
+        nrm = sobolev_norm(part, 2.0)
+        return part * (target / nrm) if nrm > 0 else part
 
-    total = normed(slow, slow_norm) + normed(fast, fast_norm)
-    return ForcingSpec(total)
+    return ForcingSpec(normed(st.branch(0), slow_norm)
+                       + normed(st.branch((1, -1)), fast_norm))
 
 
 def oscillation_dt(domain: DomainSpec, kmax: float, eps: float,
@@ -276,8 +270,7 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
                 lo, _ = truncate(st, kappa)
                 U = approxes[n](lo)
                 # re-embed the graph output on the full lattice
-                Uf = SpectralState(domain, kmax, dict(U.items()),
-                                   st.frame, st.t)
+                Uf = st._with(_embed(U.array, U.index, st.index))
                 res.append(sobolev_norm(_fast_part(st) - Uf))
             report.rows.append(dict(
                 eps=float(eps), n=int(n),
@@ -314,21 +307,16 @@ def gevrey_tail_check(sigma: float, kappa_values, domain=None,
     -sigma).
     """
     domain = domain or default_domain()
-    c = {}
-    if support == "ray":
-        for l in range(1, int(kmax) + 1):
-            kv = domain.wavevector(l, 0, 0)
-            if kv.kabs <= kmax:
-                c[(l, 0, 0, 0)] = math.exp(-sigma * kv.kabs)
-    elif support == "full":
-        for kv in wavevectors(domain, kmax):
-            c[(*kv.l, 0)] = math.exp(-sigma * kv.kabs)
-            if kv.l[2] != 0:
-                c[(*kv.l, 1)] = math.exp(-sigma * kv.kabs)
-                c[(*kv.l, -1)] = math.exp(-sigma * kv.kabs)
-    else:
+    if support not in ("ray", "full"):
         raise ValueError(f"support must be 'ray' or 'full', got {support!r}")
-    state = SpectralState(domain, kmax, c)
+    index = SpectralState(domain, kmax).index
+    l, mask = index.ints, np.zeros((3, index.nk), dtype=bool)
+    if support == "ray":  # l = (1..floor(kmax), 0, 0)
+        mask[0] = (l[:, 0] >= 1) & (l[:, 0] <= kmax) & ~l[:, 1:].any(axis=1)
+    else:
+        mask[0], mask[1:] = True, l[:, 2] != 0
+    state = SpectralState._of(
+        index, np.where(mask, np.exp(-sigma * index.kabs), 0.0), mask)
     gnorm = gevrey_norm(state, sigma)
     report = ScanReport(
         kind="gevrey-tail", eps_values=list(kappa_values),

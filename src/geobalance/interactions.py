@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._engine import I2A, R_ROWS, S_ROWS, mode_table
-from .lattice import SLOW, SpectralState, WaveVector
+from .lattice import SLOW, SpectralState, WaveVector, _key_sum
 from .modes import advection_vector, eigenframe
 
 __all__ = [
@@ -79,11 +79,7 @@ def coeff_bounds(domain, j, k, l, case: str) -> float:
 def pairing(a: SpectralState, b: SpectralState) -> complex:
     """L^2 pairing |M| * sum_m a_m conj(b_m) over the common lattice."""
     a._compat(b)
-    acc = 0.0j
-    for key in a:
-        if key in b:
-            acc += a[key] * b[key].conjugate()
-    return a.domain.volume * acc
+    return a.domain.volume * complex(_key_sum(a.array * b.array.conj()))
 
 
 def apply_B(W: SpectralState, What: SpectralState, frame_time=None,
@@ -98,15 +94,14 @@ def apply_B(W: SpectralState, What: SpectralState, frame_time=None,
     W._compat(What)
     table = mode_table(W.domain, W.kmax)
     conv = table.conv(method)
-    w = table.dense(W)
-    what = table.dense(What)
+    w, what = W.array, What.array
     if frame_time is not None:
         t, eps = frame_time
         E = table.phase(t, eps)
         out = conv(E * w, E * what) / E
     else:
         out = conv(w, what)
-    return table.state(out, W.frame, W.t)
+    return SpectralState._of(table.index, out, frame=W.frame, t=W.t)
 
 
 def apply_B_slow(W, What, frame_time=None, method="auto") -> SpectralState:
@@ -133,13 +128,13 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
     """
     We._compat(Whate)
     for st, name in ((We, "first"), (Whate, "second")):
-        for key in st:
-            if key[3] == SLOW:
-                raise ValueError(f"apply_Bomega: {name} input has slow "
-                                 f"content at {key!r}")
+        if st.mask[0].any():
+            key = (*st.index.ints[np.argmax(st.mask[0])].tolist(), SLOW)
+            raise ValueError(f"apply_Bomega: {name} input has slow "
+                             f"content at {key!r}")
     table = mode_table(We.domain, We.kmax)
-    w, wh = table.dense(We), table.dense(Whate)
-    has_w, has_wh = _present(table, We), _present(table, Whate)
+    w, wh = We.array, Whate.array
+    has_w, has_wh = We.mask, Whate.mask
     K = np.nonzero(has_wh.any(axis=0))[0]
     acc = np.zeros(table.nk, dtype=complex)
     hit = np.zeros(table.nk, dtype=bool)
@@ -156,16 +151,10 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
         # each k gives its own l = j + k, so a column sum has no collisions
         acc[b.L] += np.where(keep, val, 0.0).sum(axis=0)
         hit[b.L] |= keep.any(axis=0)
-    return We.replace(coeffs={(*map(int, table.ints[n]), 0): acc[n]
-                              for n in np.nonzero(hit)[0]})
-
-
-def _present(table, state) -> np.ndarray:
-    """(3, nk) mask of the slots that hold a key of state (even a zero)."""
     mask = np.zeros((3, table.nk), dtype=bool)
-    for key in state:
-        mask[table.key_slot(key)] = True
-    return mask
+    mask[0] = hit  # acc is zero off the hit rows
+    return SpectralState._of(table.index, np.where(mask, acc, 0.0), mask,
+                             We.frame, We.t)
 
 
 def dump_coeffs_csv(domain, kmax: float, path) -> int:

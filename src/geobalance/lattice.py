@@ -4,9 +4,9 @@ The state of the model is a set of complex coefficients indexed by
 (wavevector, branch) pairs, where the branch label picks one of the three
 normal-mode families per wavevector: 0 for the slow (balanced) branch and
 +1/-1 for the two fast wave branches.  This module defines the domain
-geometry, the integer lattice enumeration, the Sobolev/Gevrey norms on
-coefficient sets, the reality (conjugate-symmetry) constraints, and the
-low/high truncation split.
+geometry, the lattice index, the Sobolev/Gevrey norms on coefficient sets,
+the reality (conjugate-symmetry) constraints, and the low/high truncation
+split.
 
 Conventions
 -----------
@@ -17,11 +17,16 @@ Conventions
 * Fast branches exist only when ``l3 != 0``.
 * Cutoffs: state support is inclusive, ``|k| <= kmax``; truncation splits
   are strict, ``|k| < kappa``.
+* Storage: key ``(l, branch)`` has the slot (branch row, wavevector row)
+  of a (3, nk) array, rows for branches 0, +1, -1, wavevectors in the
+  lexicographic order of a :class:`LatticeIndex`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +48,11 @@ SLOW = 0
 FAST_PLUS = 1
 FAST_MINUS = -1
 BRANCHES = (0, 1, -1)
+I2A = (0, 1, -1)  # slot row -> branch label
+A2I = {0: 0, 1: 1, -1: 2}
+_KEY_ORDER = np.array([2, 0, 1])  # slot rows in key order (labels -1, 0, 1)
+FRAMES = ("rotated", "lab")
+INDEX_CACHE_SIZE = 8  # lattice indices kept, least recently used dropped
 
 
 @dataclass(frozen=True)
@@ -104,6 +114,109 @@ class WaveVector:
         return self.l[2] != 0
 
 
+class LatticeIndex:
+    """Slot layout of the lattice 0 < |k| <= kmax (|k| < kmax if strict):
+    the integer triples in lexicographic order, their physical components
+    and magnitudes, the slot frequencies, the triple -> row lookup and the
+    reality orbits.  Built with numpy; no eigenframes."""
+
+    def __init__(self, domain: DomainSpec, kmax: float, strict: bool = False):
+        self.domain, self.kmax = domain, float(kmax)
+        f = domain.k_factors()
+        axes = [np.arange(-n, n + 1)
+                for n in (int(math.floor(kmax / fi)) for fi in f)]
+        ints = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
+        k = ints * f
+        keep = ((k[:, 0] ** 2 + k[:, 1] ** 2 + k[:, 2] ** 2 <= kmax * kmax)
+                & ints.any(axis=1))
+        ints, k = ints[keep], k[keep]
+        kabs = np.sqrt((k ** 2).sum(axis=1))
+        keep = kabs < kmax if strict else slice(None)
+        self.ints, self.kphys, self.kabs = ints[keep], k[keep], kabs[keep]
+        self.nk = nk = len(self.ints)
+        # omega^+- = +-|k|/k3 off the vertical axis, +-1 on it
+        vert = (self.ints[:, 0] == 0) & (self.ints[:, 1] == 0)
+        wp = np.divide(self.kabs, self.kphys[:, 2], out=np.zeros(nk),
+                       where=self.ints[:, 2] != 0)
+        wp[vert] = 1.0
+        self.omega = np.stack([np.zeros(nk), wp, -wp])
+        self._span = span = int(np.abs(self.ints).max(initial=0))
+        self._lut = np.full((2 * span + 1,) * 3, -1, dtype=np.int64)
+        self._lut[tuple((self.ints + span).T)] = np.arange(nk)
+
+        # Reality orbits, one column each, represented by their smallest
+        # key: member g of the orbit of (a, l) lies at l, Zl, -l, -Zl for
+        # g = 0..3 (Zl = (l1, l2, -l3)); a slot repeats where a group
+        # element fixes its wavevector.
+        z = self.ints * np.array([1, 1, -1])
+        cols = np.stack([np.arange(nk), self.rows_of(z),
+                         self.rows_of(-self.ints), self.rows_of(-z)])
+        a = np.broadcast_to(np.arange(3)[:, None], (3, nk))
+        swap = (3 - a) % 3  # the other fast branch; the slow row stays
+        rows = np.stack([a, np.where(vert, a, swap), np.where(vert, swap, a),
+                         swap])
+        neg = np.zeros((4, 3, nk), dtype=bool)
+        neg[2:, 0] = True      # slow: w0(-k) = -conj(w0(k))
+        neg[1::2, 1:] = ~vert  # fast: ws(Zk) = -w(-s)(k) off the axis
+        slots = (rows * nk + cols[:, None, :]).reshape(4, -1)
+        valid = np.ones((3, nk), dtype=bool)
+        valid[1:] = self.ints[:, 2] != 0
+        rank = (3 * np.arange(nk) + np.array([1, 2, 0])[:, None]).ravel()
+        rep = valid.ravel() & (rank == rank[slots].min(axis=0))
+        self.orbits, self.orbit_neg = slots[:, rep], neg.reshape(4, -1)[:, rep]
+        for arr in (self.ints, self.kphys, self.kabs, self.omega, self._lut,
+                    self.orbits, self.orbit_neg):  # shared by the cache
+            arr.flags.writeable = False
+
+    def rows_of(self, ints) -> np.ndarray:
+        """Rows for an (m,3) int array; -1 where outside the lattice."""
+        ok = (np.abs(ints) <= self._span).all(axis=1)
+        ii = np.where(ok[:, None], ints + self._span, 0)
+        return np.where(ok, self._lut[ii[:, 0], ii[:, 1], ii[:, 2]], -1)
+
+    def _slots(self, keys):
+        """Slots (branch rows, wavevector rows) of mode keys; ValueError
+        naming the first key that has none."""
+        try:
+            k = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
+        except (TypeError, ValueError, OverflowError):
+            bad = next((key for key in keys if np.shape(key) != (4,)), keys)
+            raise ValueError(f"mode key must be (l1,l2,l3,branch), got "
+                             f"{bad!r}") from None
+        n, a = self.rows_of(k[:, :3]), k[:, 3]
+        bad = ~np.isin(a, BRANCHES) | (n < 0) | ((a != SLOW) & (k[:, 2] == 0))
+        if bad.any():
+            key = tuple(k[np.argmax(bad)].tolist())
+            if key[3] not in BRANCHES:
+                msg = f"branch must be -1, 0 or +1, got {key[3]!r} in {key!r}"
+            elif key[:3] == (0, 0, 0):
+                msg = "zero wavevector carries no degrees of freedom"
+            elif key[3] != SLOW and key[2] == 0:
+                msg = f"fast branch at l3=0 does not exist: {key!r}"
+            else:
+                msg = (f"mode {key!r} has |k|="
+                       f"{self.domain.wavevector(*key[:3]).kabs:g} > "
+                       f"kmax={self.kmax:g}")
+            raise ValueError(msg)
+        return a % 3, n
+
+
+@functools.lru_cache(maxsize=INDEX_CACHE_SIZE)
+def _index(domain: DomainSpec, kmax: float, strict: bool) -> LatticeIndex:
+    return LatticeIndex(domain, kmax, strict)
+
+
+def _embed(w: np.ndarray, src: LatticeIndex, dst: LatticeIndex) -> np.ndarray:
+    """Slot data (..., 3, src.nk) on the rows of dst: rows that dst lacks
+    are dropped, rows that src lacks are zero (False)."""
+    if src is dst:
+        return w
+    rows = dst.rows_of(src.ints)
+    out = np.zeros(w.shape[:-1] + (dst.nk,), dtype=w.dtype)
+    out[..., rows[rows >= 0]] = w[..., rows >= 0]
+    return out
+
+
 def wavevectors(domain: DomainSpec, kmax: float) -> list:
     """All nonzero lattice wavevectors with |k| <= kmax, lexicographic order.
 
@@ -111,32 +224,8 @@ def wavevectors(domain: DomainSpec, kmax: float) -> list:
     summation in the package iterates modes in this order, so results are
     bit-reproducible.
     """
-    if not kmax > 0:
-        raise ValueError(f"kmax must be > 0, got {kmax}")
-    f = domain.k_factors()
-    nmax = [int(math.floor(kmax / fi)) for fi in f]
-    out = []
-    for l1 in range(-nmax[0], nmax[0] + 1):
-        for l2 in range(-nmax[1], nmax[1] + 1):
-            for l3 in range(-nmax[2], nmax[2] + 1):
-                if l1 == l2 == l3 == 0:
-                    continue
-                kk = (f[0] * l1) ** 2 + (f[1] * l2) ** 2 + (f[2] * l3) ** 2
-                if kk <= kmax * kmax:
-                    out.append(WaveVector.from_ints(domain, (l1, l2, l3)))
-    return out
-
-
-def _validate_key(key) -> None:
-    if len(key) != 4:
-        raise ValueError(f"mode key must be (l1,l2,l3,branch), got {key!r}")
-    l1, l2, l3, a = key
-    if a not in BRANCHES:
-        raise ValueError(f"branch must be -1, 0 or +1, got {a!r} in {key!r}")
-    if l1 == l2 == l3 == 0:
-        raise ValueError("zero wavevector carries no degrees of freedom")
-    if a != SLOW and l3 == 0:
-        raise ValueError(f"fast branch at l3=0 does not exist: {key!r}")
+    return [WaveVector.from_ints(domain, l)
+            for l in SpectralState(domain, kmax).index.ints.tolist()]
 
 
 class SpectralState:
@@ -155,62 +244,92 @@ class SpectralState:
         Time stamp of the coefficients.
 
     The class behaves as an immutable mapping; arithmetic (+, -, scalar *)
-    returns new states and requires matching domain/frame/time.
+    returns new states and requires matching domain/frame/time.  It stores
+    ``array``, the (3, nk) slots on the lattice ``index``, and ``mask``, the
+    slots present (a stored zero is present); both are read-only.
     """
 
-    __slots__ = ("domain", "kmax", "frame", "t", "_c")
+    __slots__ = ("domain", "kmax", "frame", "t", "index", "array", "mask")
 
     def __init__(self, domain: DomainSpec, kmax: float, coeffs=None,
                  frame: str = "rotated", t: float = 0.0):
-        if frame not in ("rotated", "lab"):
-            raise ValueError(f"frame must be 'rotated' or 'lab', got {frame!r}")
         if not kmax > 0:
             raise ValueError(f"kmax must be > 0, got {kmax}")
-        self.domain = domain
-        self.kmax = float(kmax)
-        self.frame = frame
-        self.t = float(t)
-        c = {}
+        index = _index(domain, float(kmax), False)
+        w = np.zeros((3, index.nk), dtype=complex)
+        mask = np.zeros((3, index.nk), dtype=bool)
         if coeffs:
-            f = domain.k_factors()
-            for key, val in coeffs.items():
-                key = (int(key[0]), int(key[1]), int(key[2]), int(key[3]))
-                _validate_key(key)
-                kk = math.sqrt((f[0] * key[0]) ** 2 + (f[1] * key[1]) ** 2
-                               + (f[2] * key[2]) ** 2)
-                if kk > self.kmax * (1 + 1e-12):
-                    raise ValueError(f"mode {key!r} has |k|={kk:g} > kmax={kmax:g}")
-                c[key] = complex(val)
-        self._c = c
+            keys, vals = zip(*coeffs.items())
+            slot = index._slots(keys)
+            w[slot], mask[slot] = vals, True
+        self._set(index, w, mask, frame, t)
+
+    def _set(self, index, w, mask, frame, t):
+        if frame not in FRAMES:
+            raise ValueError(f"frame must be 'rotated' or 'lab', got {frame!r}")
+        w.flags.writeable = mask.flags.writeable = False
+        self.domain, self.kmax, self.index = index.domain, index.kmax, index
+        self.frame, self.t, self.array, self.mask = frame, float(t), w, mask
+
+    @classmethod
+    def _of(cls, index: LatticeIndex, w: np.ndarray, mask=None,
+            frame: str = "rotated", t: float = 0.0) -> "SpectralState":
+        """Wrap (3, nk) slots of a non-strict index without a copy; the
+        slots present are ``mask``, else the nonzero ones."""
+        st = object.__new__(cls)
+        st._set(index, w, w != 0 if mask is None else mask, frame, t)
+        return st
+
+    def _with(self, w, mask=None, frame=None, t=None) -> "SpectralState":
+        return SpectralState._of(self.index, w, mask,
+                                 self.frame if frame is None else frame,
+                                 self.t if t is None else t)
 
     # -- mapping interface -------------------------------------------------
+    def _slot(self, key):
+        """The slot of a present key, else None."""
+        try:
+            l1, l2, l3, a = key
+            ai = A2I[a]
+            n = self.index.rows_of(np.array([(l1, l2, l3)], dtype=np.int64))[0]
+        except (TypeError, ValueError, KeyError):
+            return None
+        return (ai, n) if n >= 0 and self.mask[ai, n] else None
+
     def __len__(self):
-        return len(self._c)
+        return int(np.count_nonzero(self.mask))
 
     def __iter__(self):
-        return iter(sorted(self._c))
+        return iter(self.keys())
 
     def __contains__(self, key):
-        return key in self._c
+        return self._slot(key) is not None
 
     def __getitem__(self, key):
-        return self._c[key]
+        slot = self._slot(key)
+        if slot is None:
+            raise KeyError(key)
+        return complex(self.array[slot])
 
     def get(self, key, default=0.0 + 0.0j):
-        return self._c.get(key, default)
+        return self[key] if key in self else default
 
     def items(self):
-        return [(k, self._c[k]) for k in sorted(self._c)]
+        n, j = np.nonzero(self.mask[_KEY_ORDER].T)
+        return list(zip(self.keys(), self.array[_KEY_ORDER[j], n].tolist()))
 
     def keys(self):
-        return sorted(self._c)
+        n, j = np.nonzero(self.mask[_KEY_ORDER].T)  # row j: label j - 1
+        l1, l2, l3 = self.index.ints[n].T.tolist()
+        return list(zip(l1, l2, l3, (j - 1).tolist()))
 
     # -- construction helpers ----------------------------------------------
     def replace(self, coeffs=None, frame=None, t=None) -> "SpectralState":
-        return SpectralState(self.domain, self.kmax,
-                             self._c if coeffs is None else coeffs,
-                             self.frame if frame is None else frame,
-                             self.t if t is None else t)
+        frame = self.frame if frame is None else frame
+        t = self.t if t is None else t
+        if coeffs is None:
+            return self._with(self.array, self.mask, frame, t)
+        return SpectralState(self.domain, self.kmax, coeffs, frame, t)
 
     def _compat(self, other: "SpectralState") -> None:
         if self.domain != other.domain or self.kmax != other.kmax:
@@ -220,16 +339,15 @@ class SpectralState:
 
     def __add__(self, other):
         self._compat(other)
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0.0) + v
-        return self.replace(coeffs=c)
+        return self._with(self.array + other.array, self.mask | other.mask)
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, a):
-        return self.replace(coeffs={k: a * v for k, v in self._c.items()})
+        if not isinstance(a, numbers.Number):
+            return NotImplemented
+        return self._with(np.where(self.mask, a * self.array, 0.0), self.mask)
 
     __rmul__ = __mul__
 
@@ -237,33 +355,35 @@ class SpectralState:
         """Restrict to a set of branch labels (int or iterable of ints)."""
         if isinstance(which, int):
             which = (which,)
-        return self.replace(coeffs={k: v for k, v in self._c.items()
-                                    if k[3] in which})
+        keep = np.isin(I2A, list(which))[:, None]
+        return self._with(np.where(keep, self.array, 0.0), self.mask & keep)
 
     def wavevector(self, key) -> WaveVector:
         return WaveVector.from_ints(self.domain, key[:3])
 
 
-def _kabs(state: SpectralState, key) -> float:
-    f = state.domain.k_factors()
-    return math.sqrt((f[0] * key[0]) ** 2 + (f[1] * key[1]) ** 2
-                     + (f[2] * key[2]) ** 2)
+def _key_sum(x: np.ndarray):
+    """Sum of (3, nk) slots term by term in key order, a running sum: as
+    a loop over the keys, it does not depend on the slot layout."""
+    return np.cumsum(x[_KEY_ORDER].T.ravel())[-1:].sum()
+
+
+def _norm(weight, w: np.ndarray) -> float:
+    """sqrt( sum_k weight_k sum_branches |w_k|^2 ) of a (3, nk) array, with
+    libm's hypot and pow, which numpy's SIMD abs and power do not match bit
+    for bit on every CPU."""
+    sq = np.float_power(np.hypot(w.real, w.imag), 2.0)
+    return math.sqrt(float(_key_sum(weight * sq)))
 
 
 def sobolev_norm(state: SpectralState, s: float = 0.0) -> float:
     """sqrt( sum_k |k|^(2s) sum_branches |w_k|^2 ).  Frame-independent."""
-    acc = 0.0
-    for key in state:
-        acc += _kabs(state, key) ** (2.0 * s) * abs(state[key]) ** 2
-    return math.sqrt(acc)
+    return _norm(np.float_power(state.index.kabs, 2.0 * s), state.array)
 
 
 def gevrey_norm(state: SpectralState, sigma: float) -> float:
     """Sobolev s=0 norm with exponential weight e^(2*sigma*|k|)."""
-    acc = 0.0
-    for key in state:
-        acc += math.exp(2.0 * sigma * _kabs(state, key)) * abs(state[key]) ** 2
-    return math.sqrt(acc)
+    return _norm(np.exp(2.0 * sigma * state.index.kabs), state.array)
 
 
 # -- reality constraints ---------------------------------------------------
@@ -271,55 +391,18 @@ def gevrey_norm(state: SpectralState, sigma: float) -> float:
 # For real physical fields (with the even/odd z-symmetry) the coefficients
 # satisfy, writing Zk = (k1, k2, -k3):
 #   slow:           w0(-k) = -conj(w0(k)),  w0(Zk) =  w0(k)
-#   fast, k' != 0:  ws(-k) =  conj(ws(k)),  ws(Zk) = -ws(k)
+#   fast, k' != 0:  ws(-k) =  conj(ws(k)),  ws(Zk) = -w(-s)(k)
 #   fast, k'  = 0:  ws(0,0,-k3) = conj(w(-s)(0,0,k3))   (branches swap)
 #
-# Each constraint orbit is listed as (slot_key, transform) pairs, where
-# transform maps the representative value to the slot value.  Every
-# transform is an involution, so it also maps a slot value back to a
-# representative candidate.
+# The z-reflection swaps the fast branch with a sign (the reflected
+# eigenvector is minus the opposite-branch one), which keeps v even in z.
 
-def _apply_tr(tr, v):
-    if tr == "id":
-        return v
-    if tr == "neg":
-        return -v
-    if tr == "conj":
-        return v.conjugate()
-    if tr == "negconj":
-        return -v.conjugate()
-    raise AssertionError(tr)
-
-
-def _orbit(key):
-    """Constraint orbit of a mode key: list of (slot_key, transform_name).
-
-    One entry per symmetry-group element; slot keys may repeat when the
-    wavevector is fixed by a group element (e.g. l3 = 0, or l' = 0).
-    """
-    l1, l2, l3, a = key
-    if a == SLOW:
-        return [((l1, l2, l3, 0), "id"),
-                ((l1, l2, -l3, 0), "id"),
-                ((-l1, -l2, -l3, 0), "negconj"),
-                ((-l1, -l2, l3, 0), "negconj")]
-    if l1 == 0 and l2 == 0:
-        # -l and Zl coincide; realness conjugate-swaps branches and the
-        # z-reflection fixes each branch, so the orbit ties both branches
-        # at both signs of l3 together.
-        return [((0, 0, l3, a), "id"),
-                ((0, 0, -l3, a), "id"),
-                ((0, 0, -l3, -a), "conj"),
-                ((0, 0, l3, -a), "conj")]
-    # The z-reflection maps branch a at (l1,l2,l3) to branch -a at
-    # (l1,l2,-l3) with a sign: the reflected eigenvector equals minus the
-    # opposite-branch one and the frequencies swap accordingly.  Keeping
-    # the branch fixed instead would still give real fields but would
-    # break the evenness of v in z.
-    return [((l1, l2, l3, a), "id"),
-            ((l1, l2, -l3, -a), "neg"),
-            ((-l1, -l2, -l3, a), "conj"),
-            ((-l1, -l2, l3, -a), "negconj")]
+def _orbit_transform(x: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Orbit transforms on member values x (4, m): conjugate members 2
+    and 3, negate where ``neg``.  Each is an involution, so this maps
+    representative values to member values and back."""
+    x = np.concatenate([x[:2], x[2:].conj()])
+    return np.where(neg, -x, x)
 
 
 def enforce_reality(state: SpectralState) -> SpectralState:
@@ -332,33 +415,29 @@ def enforce_reality(state: SpectralState) -> SpectralState:
     its partners materialized, while an explicitly stored inconsistent
     partner participates in the average.  Idempotent.
     """
-    out = {}
-    seen = set()
-    for key in state:
-        if key in seen:
-            continue
-        orbit = _orbit(key)
-        vals = [_apply_tr(tr, state[sk]) for sk, tr in orbit if sk in state]
-        v = sum(vals) / len(vals)
-        for sk, tr in orbit:
-            out[sk] = _apply_tr(tr, v)
-            seen.add(sk)
-    return state.replace(coeffs=out)
+    have = state.mask.ravel()[state.index.orbits]
+    hit = have.any(axis=0)
+    orbits, neg = state.index.orbits[:, hit], state.index.orbit_neg[:, hit]
+    pull = np.where(have[:, hit],
+                    _orbit_transform(state.array.ravel()[orbits], neg), 0.0)
+    v = (pull[0] + pull[1] + pull[2] + pull[3]) / have[:, hit].sum(axis=0)
+    fill = _orbit_transform(np.broadcast_to(v, orbits.shape), neg)
+    w = np.zeros(state.array.size, dtype=complex)
+    for g in range(4):  # a slot met twice in one orbit keeps the later value
+        w[orbits[g]] = fill[g]
+    mask = np.bincount(orbits.ravel(), minlength=w.size) > 0
+    return state._with(w.reshape(3, -1), mask.reshape(3, -1))
 
 
 def check_reality(state: SpectralState) -> float:
     """Max constraint violation, treating absent orbit slots as zero."""
-    worst = 0.0
-    seen = set()
-    for key in state:
-        if key in seen:
-            continue
-        orbit = _orbit(key)
-        v = sum(_apply_tr(tr, state.get(sk)) for sk, tr in orbit) / len(orbit)
-        for sk, tr in orbit:
-            worst = max(worst, abs(state.get(sk) - _apply_tr(tr, v)))
-            seen.add(sk)
-    return worst
+    hit = state.mask.ravel()[state.index.orbits].any(axis=0)
+    orbits, neg = state.index.orbits[:, hit], state.index.orbit_neg[:, hit]
+    x = state.array.ravel()[orbits]
+    pull = _orbit_transform(x, neg)
+    v = (pull[0] + pull[1] + pull[2] + pull[3]) / 4
+    fill = _orbit_transform(np.broadcast_to(v, orbits.shape), neg)
+    return float(np.abs(x - fill).max(initial=0.0))
 
 
 def truncate(state: SpectralState, kappa: float):
@@ -369,10 +448,9 @@ def truncate(state: SpectralState, kappa: float):
     """
     if not kappa > 0:
         raise ValueError(f"kappa must be > 0, got {kappa}")
-    lo, hi = {}, {}
-    for key in state:
-        (lo if _kabs(state, key) < kappa else hi)[key] = state[key]
-    return state.replace(coeffs=lo), state.replace(coeffs=hi)
+    low = state.index.kabs < kappa
+    return tuple(state._with(np.where(sel, state.array, 0.0), state.mask & sel)
+                 for sel in (low, ~low))
 
 
 def random_state(domain: DomainSpec, kmax: float, rng=None,
@@ -380,13 +458,14 @@ def random_state(domain: DomainSpec, kmax: float, rng=None,
                  slow_only: bool = False) -> SpectralState:
     """Seeded Gaussian coefficients on the full lattice, then projected
     onto the reality-constraint set.  Deterministic for a seeded rng."""
-    import numpy as _np
     if rng is None or isinstance(rng, int):
-        rng = _np.random.default_rng(rng)
-    c = {}
-    for kv in wavevectors(domain, kmax):
-        branches = (SLOW,) if slow_only or kv.l[2] == 0 else BRANCHES
-        for a in branches:
-            re, im = rng.normal(size=2)
-            c[(*kv.l, a)] = scale * complex(re, im)
-    return enforce_reality(SpectralState(domain, kmax, c, frame=frame))
+        rng = np.random.default_rng(rng)
+    index = SpectralState(domain, kmax).index
+    mask = np.ones((3, index.nk), dtype=bool)
+    mask[1:] = (index.ints[:, 2] != 0) & (not slow_only)
+    # one (re, im) draw per slot: wavevector by wavevector, branch 0, +1, -1
+    n, ai = np.nonzero(mask.T)
+    z = rng.normal(size=(len(n), 2))
+    w = np.zeros((3, index.nk), dtype=complex)
+    w[ai, n] = scale * (z[:, 0] + 1j * z[:, 1])
+    return enforce_reality(SpectralState._of(index, w, mask, frame))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SLOW, SpectralState, WaveVector
+from .lattice import _KEY_ORDER, SLOW, SpectralState, WaveVector
 
 __all__ = [
     "EigenFrame",
@@ -138,31 +138,26 @@ def advection_vector(k: WaveVector, branch: int) -> np.ndarray:
 
 # -- diagonal operators on branch coefficients -----------------------------
 
-def _omega_of(state: SpectralState, key) -> float:
-    return frequencies(state.wavevector(key))[0 if key[3] == 0 else
-                                              (1 if key[3] == 1 else 2)]
+def _fast(state: SpectralState):
+    """The present fast slots and the frequency per slot (1 elsewhere)."""
+    mask = state.mask & np.array([[False], [True], [True]])
+    return mask, np.where(mask, state.index.omega, 1.0)
 
 
 def apply_L(state: SpectralState) -> SpectralState:
     """Fast coefficients times i*omega; slow branch is the kernel (-> 0)."""
-    out = {}
-    for key in state:
-        if key[3] != SLOW:
-            out[key] = 1j * _omega_of(state, key) * state[key]
-    return state.replace(coeffs=out)
+    mask, omega = _fast(state)
+    return state._with(np.where(mask, 1j * omega * state.array, 0.0), mask)
 
 
 def apply_Linv(state: SpectralState) -> SpectralState:
     """Inverse on the range of L; rejects states with slow content."""
-    out = {}
-    for key in state:
-        if key[3] == SLOW:
-            if state[key] != 0.0:
-                raise ValueError(
-                    f"apply_Linv: mode {key!r} lies in the kernel of L")
-            continue
-        out[key] = state[key] / (1j * _omega_of(state, key))
-    return state.replace(coeffs=out)
+    slow = state.array[SLOW] != 0.0
+    if slow.any():
+        key = (*state.index.ints[np.argmax(slow)].tolist(), SLOW)
+        raise ValueError(f"apply_Linv: mode {key!r} lies in the kernel of L")
+    mask, omega = _fast(state)
+    return state._with(np.where(mask, state.array / (1j * omega), 0.0), mask)
 
 
 def apply_Iomega(state: SpectralState) -> SpectralState:
@@ -171,24 +166,25 @@ def apply_Iomega(state: SpectralState) -> SpectralState:
     Since |omega| >= 1 on every fast branch, this never increases any
     Sobolev norm.
     """
-    out = {}
-    for key in state:
-        if key[3] != SLOW:
-            out[key] = 1j * state[key] / _omega_of(state, key)
-    return state.replace(coeffs=out)
+    mask, omega = _fast(state)
+    return state._with(np.where(mask, 1j * state.array / omega, 0.0), mask)
 
 
 # -- analysis / synthesis and the slow-fast split --------------------------
 
+def _vectors(state: SpectralState):
+    """The (u1,u2,rho) 3-vectors of all wavevector rows, (nk, 3), summed
+    over the branches in key order, and the rows that hold a key."""
+    from ._engine import mode_table  # _engine imports this module
+    X = mode_table(state.domain, state.kmax).X
+    F = sum(state.array[a][:, None] * X[a] for a in _KEY_ORDER)
+    return F, state.mask.any(axis=0)
+
+
 def to_vector_coefficients(state: SpectralState) -> dict:
     """Branch coefficients -> per-wavevector (u1,u2,rho) 3-vectors."""
-    out = {}
-    for key, v in state.items():
-        l = key[:3]
-        fr = eigenframe(state.wavevector(key))
-        out.setdefault(l, np.zeros(3, dtype=complex))
-        out[l] += v * fr.X(key[3])
-    return out
+    F, rows = _vectors(state)
+    return dict(zip(map(tuple, state.index.ints[rows].tolist()), F[rows]))
 
 
 def from_vector_coefficients(domain, kmax, vcoeffs, frame="rotated",
@@ -215,20 +211,18 @@ def slow_fast_split(state: SpectralState, check_tol: float = 1e-10):
     """
     W0 = state.branch(SLOW)
     We = state.branch((1, -1))
-    vc = to_vector_coefficients(state)
-    for l, F in vc.items():
-        k = WaveVector.from_ints(state.domain, l)
-        k1, k2, k3 = k.k
-        q = 1j * (k1 * F[1] - k2 * F[0]) - 1j * k3 * F[2]
-        if k.kperp == 0.0:
-            # Laplacian inversion of q sees no horizontal content here; the
-            # slow amplitude is the (signed) rho component directly.
-            w0_pv = (1.0 if k3 > 0 else -1.0) * F[2]
-        else:
-            w0_pv = 1j * q / k.kabs
-        w0 = W0.get((*l, 0))
-        scale = max(1.0, float(np.linalg.norm(F)))
-        if abs(w0 - w0_pv) > check_tol * scale:
-            raise ValueError(
-                f"slow/PV inconsistency at {l}: {w0} vs {w0_pv}")
+    F, rows = _vectors(state)
+    k1, k2, k3 = state.index.kphys.T
+    q = 1j * (k1 * F[:, 1] - k2 * F[:, 0]) - 1j * k3 * F[:, 2]
+    # on the vertical axis the Laplacian inversion of q sees no horizontal
+    # content; the slow amplitude is the (signed) rho component directly
+    w0_pv = np.where((k1 == 0) & (k2 == 0), np.sign(k3) * F[:, 2],
+                     1j * q / state.index.kabs)
+    w0 = W0.array[SLOW]
+    scale = np.maximum(1.0, np.linalg.norm(F, axis=1))
+    bad = rows & (np.abs(w0 - w0_pv) > check_tol * scale)
+    if bad.any():
+        n = np.argmax(bad)
+        l = tuple(state.index.ints[n].tolist())
+        raise ValueError(f"slow/PV inconsistency at {l}: {w0[n]} vs {w0_pv[n]}")
     return W0, We

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._engine import A2I, ModeTable, mode_table
+from ._engine import ModeTable, mode_table
 from .dynamics import ForcingSpec
-from .lattice import DomainSpec, SpectralState
+from .lattice import DomainSpec, SpectralState, _embed, _index, sobolev_norm
 
 __all__ = [
     "ManifoldApprox",
@@ -68,13 +68,7 @@ class _Ctx:
         self.t = float(t)
         self.E = table.phase(self.t, self.eps)  # rotated -> lab per mode
         # forcing is stored lab-frame; rotated coefficient = f_lab / E
-        fd = np.zeros((3, table.nk), dtype=complex)
-        amp = forcing.amplitude(self.t)
-        for key, v in forcing.coeffs.items():
-            n = table.row.get(key[:3])
-            if n is not None:
-                fd[A2I[key[3]], n] = amp * v
-        fd /= self.E
+        fd = forcing.amplitude(self.t) * _rows(table, forcing.coeffs) / self.E
         self.f_slow = np.zeros_like(fd)
         self.f_slow[0] = fd[0]
         self.f_fast = fd - self.f_slow
@@ -82,10 +76,11 @@ class _Ctx:
         self.linv_fast = np.zeros_like(iw)
         np.divide(1.0, iw, out=self.linv_fast, where=table.omega != 0.0)
         self.diff = self.mu * table.kabs[None, :] ** 2
+        self._conv = table.conv("auto")
 
     def conv(self, a, b):
         """Rotated-frame convolution of two plain (3, nk) blocks."""
-        return self.table.conv_direct(self.E * a, self.E * b) / self.E
+        return self._conv(self.E * a, self.E * b) / self.E
 
     def jet_B(self, a, b):
         """Jet-valued bilinear B: pairwise over disjoint bitmasks."""
@@ -107,6 +102,17 @@ class _Ctx:
         out[0] = const
         return out
 
+
+def _rows(table: ModeTable, state: SpectralState) -> np.ndarray:
+    """The state's coefficients on the table's rows (others dropped)."""
+    return _embed(state.array, state.index, table.index)
+
+
+def _state(table: ModeTable, w: np.ndarray, frame, t) -> SpectralState:
+    """Table-row coefficients as a state on the (domain, table.kmax) lattice."""
+    index = _index(table.domain, table.kmax, False)
+    return SpectralState._of(index, _embed(w, table.index, index), None,
+                             frame, t)
 
 
 def _slow(j):
@@ -180,22 +186,11 @@ class ManifoldApprox:
         t = state.t if state.frame == "rotated" else 0.0
         return _Ctx(self.table, self.eps, self.mu, self.forcing, t)
 
-    def _slow_dense(self, state: SpectralState) -> np.ndarray:
-        table = self.table
-        w = np.zeros((3, table.nk), dtype=complex)
-        for key, v in state.items():
-            if key[3] != 0:
-                continue
-            n = table.row.get(key[:3])
-            if n is not None:
-                w[0, n] = v
-        return w
-
     def __call__(self, state: SpectralState) -> SpectralState:
         ctx = self._ctx(state)
-        J = self._slow_dense(state)[None]
+        J = _slow(_rows(self.table, state))[None]
         out = _eval_u(ctx, self.order, J)[0]
-        return self.table.state(out, state.frame, state.t)
+        return _state(self.table, out, state.frame, state.t)
 
     def jet(self, state: SpectralState, directions):
         """Evaluate U^n and its exact directional derivatives.
@@ -206,11 +201,11 @@ class ManifoldApprox:
         d = len(dirs)
         ctx = self._ctx(state)
         J = np.zeros((1 << d, 3, self.table.nk), dtype=complex)
-        J[0] = self._slow_dense(state)
+        J[0] = _slow(_rows(self.table, state))
         for i, dv in enumerate(dirs):
-            J[1 << i] = self._slow_dense(dv)
+            J[1 << i] = _slow(_rows(self.table, dv))
         out = _eval_u(ctx, self.order, J)
-        mk = lambda w: self.table.state(w, state.frame, state.t)
+        mk = lambda w: _state(self.table, w, state.frame, state.t)
         return mk(out[0]), [mk(out[1 << i]) for i in range(d)]
 
     def remainder(self, state: SpectralState) -> SpectralState:
@@ -233,20 +228,10 @@ def g_of(W0: SpectralState, U: SpectralState, forcing: ForcingSpec,
     table = mode_table(W0.domain, kappa, strict=True)
     ctx = _Ctx(table, eps, mu, forcing,
                W0.t if W0.frame == "rotated" else 0.0)
-    w = np.zeros((3, table.nk), dtype=complex)
-    for st in (W0, U):
-        for key, v in st.items():
-            n = table.row.get(key[:3])
-            if n is not None:
-                w[A2I[key[3]], n] += v
-    w0 = np.zeros_like(w)
-    for key, v in W0.items():
-        if key[3] == 0:
-            n = table.row.get(key[:3])
-            if n is not None:
-                w0[0, n] = v
+    w = _rows(table, W0) + _rows(table, U)
+    w0 = _slow(_rows(table, W0))
     out = -_slow(ctx.conv(w, w)) - ctx.diff * w0 + ctx.f_slow
-    return table.state(out, W0.frame, W0.t)
+    return _state(table, out, W0.frame, W0.t)
 
 
 def iterate(approx: ManifoldApprox) -> ManifoldApprox:
@@ -264,7 +249,7 @@ def remainder_direct(approx: ManifoldApprox, state: SpectralState
     + A U^n - f_fast, all on the truncated lattice."""
     ctx = approx._ctx(state)
     table = approx.table
-    J = approx._slow_dense(state)[None]
+    J = _slow(_rows(table, state))[None]
     Um = _eval_u(ctx, approx.order, J)
     WU = J + Um
     BWU = ctx.jet_B(WU, WU)
@@ -274,7 +259,7 @@ def remainder_direct(approx: ManifoldApprox, state: SpectralState
     iw_over_eps = (1j * table.omega) / approx.eps
     R = (DUG[0] + iw_over_eps * Um[0] + _fast(BWU)[0]
          + ctx.diff * Um[0] - ctx.f_fast)
-    return table.state(R, state.frame, state.t)
+    return _state(table, R, state.frame, state.t)
 
 
 def remainder_diff(approx_n: ManifoldApprox, approx_np1: ManifoldApprox,
@@ -287,9 +272,8 @@ def remainder_diff(approx_n: ManifoldApprox, approx_np1: ManifoldApprox,
         raise ValueError("orders must be consecutive")
     dU = approx_n(state) - approx_np1(state)
     table = approx_n.table
-    w = table.dense(dU)
-    return table.state((1j * table.omega / approx_n.eps) * w,
-                       state.frame, state.t)
+    return _state(table, (1j * table.omega / approx_n.eps) * _rows(table, dU),
+                  state.frame, state.t)
 
 
 def contraction_scan(state: SpectralState, forcing: ForcingSpec, mu: float,
@@ -306,9 +290,7 @@ def contraction_scan(state: SpectralState, forcing: ForcingSpec, mu: float,
         for n in range(n_hi + 1):
             ap = ManifoldApprox(state.domain, kappa, eps, mu, forcing,
                                 order=n, n_cap=n_hi + 1)
-            table = ap.table
-            norms.append(table.sob_norm(table.dense(
-                remainder_direct(ap, state))))
+            norms.append(sobolev_norm(remainder_direct(ap, state)))
         rows.append((eps, norms))
         if all(b < a for a, b in zip(norms, norms[1:])):
             thresh = eps

@@ -206,3 +206,24 @@ class TestMain:
         assert rc == 0
         assert (tmp_path / "flagdir" / "toy.csv").exists()
         assert not (tmp_path / "envdir").exists()
+
+
+class TestSimulateSteps:
+    def _simulate(self, tmp_path, capsys, t_end, dt):
+        cfg = parse_config(f"epsilon = 0.2\nkmax = 2\ndt = {dt!r}\n"
+                           f"t_end = {t_end!r}\n")
+        cfg.out = str(tmp_path)
+        assert run("simulate", cfg) == 0
+        last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
+        return float(last.split(",")[0]), capsys.readouterr().out
+
+    def test_float_noise_is_whole_steps(self, tmp_path, capsys):
+        # 0.07 / 0.01 = 7.000000000000001: seven steps, not eight
+        t, out = self._simulate(tmp_path, capsys, 0.07, 0.01)
+        assert t == 7 * 0.01
+        assert "simulate: 7 steps," in out and "rounded" not in out
+
+    def test_partial_step_rounded_up_and_reported(self, tmp_path, capsys):
+        t, out = self._simulate(tmp_path, capsys, 0.025, 0.01)
+        assert t == 3 * 0.01
+        assert "t_end 0.025 rounded up to 0.03 (3 x dt)" in out
