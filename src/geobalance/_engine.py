@@ -36,8 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import (A2I, I2A, DomainSpec, SpectralState, WaveVector,
-                      _embed, _index, _norm)
+from .lattice import A2I, I2A, DomainSpec, SpectralState, WaveVector, _index
 from .modes import advection_vector, eigenframe, frequencies
 
 CONV_METHODS = ("auto", "direct", "grid")
@@ -111,18 +110,11 @@ class ModeTable:
 
     def dense(self, state: SpectralState) -> np.ndarray:
         """The state's (read-only) slot array, on this table's rows."""
-        return _embed(state.array, state.index, self.index)
-
-    def rows_of(self, ints) -> np.ndarray:
-        """Rows for an (m,3) int array; -1 where outside the table."""
-        return self.index.rows_of(ints)
+        return state._on(self.index)
 
     def phase(self, t: float, eps: float) -> np.ndarray:
         """exp(-i omega t / eps), shape (3, nk); converts rotated -> lab."""
         return np.exp(-1j * self.omega * (t / eps))
-
-    def sob_norm(self, w: np.ndarray, s: float = 0.0) -> float:
-        return _norm(self.kabs ** (2.0 * s) if s else 1.0, w)
 
     # -- the triad engine --------------------------------------------------
     def closing_rows(self, jn: int, K: np.ndarray):

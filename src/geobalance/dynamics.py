@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import CONV_METHODS, mode_table
-from .lattice import DomainSpec, SpectralState, _embed, check_reality
+from .lattice import DomainSpec, SpectralState, check_reality
 
 __all__ = [
     "ForcingSpec",
@@ -151,7 +151,7 @@ def apply_A(state: SpectralState, mu: float) -> SpectralState:
 def _dense_forcing(table, forcing):
     if forcing is None:
         return np.zeros((3, table.nk), dtype=complex)
-    return _embed(forcing.coeffs.array, forcing.coeffs.index, table.index)
+    return forcing.coeffs._on(table.index)
 
 
 def _rhs(table, w, t, cfg, fdense, forcing, conv):

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._engine import mode_table
 from .dynamics import ForcingSpec, SolverConfig, integrate
-from .lattice import (DomainSpec, SpectralState, _embed, gevrey_norm,
+from .lattice import (DomainSpec, SpectralState, gevrey_norm,
                       random_state, sobolev_norm, truncate)
 from .slowmanifold import ManifoldApprox, kappa_delta
 
@@ -270,7 +270,7 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
                 lo, _ = truncate(st, kappa)
                 U = approxes[n](lo)
                 # re-embed the graph output on the full lattice
-                Uf = st._with(_embed(U.array, U.index, st.index))
+                Uf = st._with(U._on(st.index))
                 res.append(sobolev_norm(_fast_part(st) - Uf))
             report.rows.append(dict(
                 eps=float(eps), n=int(n),

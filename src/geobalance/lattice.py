@@ -178,13 +178,21 @@ class LatticeIndex:
         """Slots (branch rows, wavevector rows) of mode keys; ValueError
         naming the first key that has none."""
         try:
-            k = np.array(keys, dtype=np.int64).reshape(len(keys), 4)
-        except (TypeError, ValueError, OverflowError):
-            bad = next((key for key in keys if np.shape(key) != (4,)), keys)
-            raise ValueError(f"mode key must be (l1,l2,l3,branch), got "
-                             f"{bad!r}") from None
+            k = np.array(keys)
+        except ValueError:  # ragged
+            k = None
+        if k is None or k.dtype.kind != "i" or k.shape != (len(keys), 4):
+            for key in keys:  # name the first key that is not four int64s
+                try:
+                    ok = np.array(key, dtype=np.int64).tolist() == list(key)
+                except (TypeError, ValueError, OverflowError):
+                    ok = False
+                if not ok or len(key) != 4:
+                    raise ValueError(f"mode key must be four integers, "
+                                     f"got {key!r}")
+            k = np.array(keys, dtype=np.int64)  # integral floats, bools
         n, a = self.rows_of(k[:, :3]), k[:, 3]
-        bad = ~np.isin(a, BRANCHES) | (n < 0) | ((a != SLOW) & (k[:, 2] == 0))
+        bad = (np.abs(a) > 1) | (n < 0) | ((a != SLOW) & (k[:, 2] == 0))
         if bad.any():
             key = tuple(k[np.argmax(bad)].tolist())
             if key[3] not in BRANCHES:
@@ -280,6 +288,10 @@ class SpectralState:
         st._set(index, w, w != 0 if mask is None else mask, frame, t)
         return st
 
+    def _on(self, index: LatticeIndex) -> np.ndarray:
+        """The slots on the rows of ``index`` (see :func:`_embed`)."""
+        return _embed(self.array, self.index, index)
+
     def _with(self, w, mask=None, frame=None, t=None) -> "SpectralState":
         return SpectralState._of(self.index, w, mask,
                                  self.frame if frame is None else frame,
@@ -289,12 +301,10 @@ class SpectralState:
     def _slot(self, key):
         """The slot of a present key, else None."""
         try:
-            l1, l2, l3, a = key
-            ai = A2I[a]
-            n = self.index.rows_of(np.array([(l1, l2, l3)], dtype=np.int64))[0]
-        except (TypeError, ValueError, KeyError):
+            (a,), (n,) = self.index._slots([key])
+        except ValueError:
             return None
-        return (ai, n) if n >= 0 and self.mask[ai, n] else None
+        return (a, n) if self.mask[a, n] else None
 
     def __len__(self):
         return int(np.count_nonzero(self.mask))
@@ -312,7 +322,8 @@ class SpectralState:
         return complex(self.array[slot])
 
     def get(self, key, default=0.0 + 0.0j):
-        return self[key] if key in self else default
+        slot = self._slot(key)
+        return default if slot is None else complex(self.array[slot])
 
     def items(self):
         n, j = np.nonzero(self.mask[_KEY_ORDER].T)
@@ -325,11 +336,11 @@ class SpectralState:
 
     # -- construction helpers ----------------------------------------------
     def replace(self, coeffs=None, frame=None, t=None) -> "SpectralState":
-        frame = self.frame if frame is None else frame
-        t = self.t if t is None else t
         if coeffs is None:
             return self._with(self.array, self.mask, frame, t)
-        return SpectralState(self.domain, self.kmax, coeffs, frame, t)
+        return SpectralState(self.domain, self.kmax, coeffs,
+                             self.frame if frame is None else frame,
+                             self.t if t is None else t)
 
     def _compat(self, other: "SpectralState") -> None:
         if self.domain != other.domain or self.kmax != other.kmax:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _KEY_ORDER, SLOW, SpectralState, WaveVector
+from .lattice import _KEY_ORDER, I2A, SLOW, SpectralState, WaveVector
 
 __all__ = [
     "EigenFrame",
@@ -173,12 +173,15 @@ def apply_Iomega(state: SpectralState) -> SpectralState:
 # -- analysis / synthesis and the slow-fast split --------------------------
 
 def _vectors(state: SpectralState):
-    """The (u1,u2,rho) 3-vectors of all wavevector rows, (nk, 3), summed
-    over the branches in key order, and the rows that hold a key."""
-    from ._engine import mode_table  # _engine imports this module
-    X = mode_table(state.domain, state.kmax).X
-    F = sum(state.array[a][:, None] * X[a] for a in _KEY_ORDER)
-    return F, state.mask.any(axis=0)
+    """The (u1,u2,rho) 3-vectors (nk, 3) summed over the branches in key
+    order, zero on rows without a key, and the rows with one."""
+    rows = state.mask.any(axis=0)
+    F = np.zeros((state.index.nk, 3), dtype=complex)
+    for n in np.flatnonzero(rows).tolist():
+        fr = eigenframe(state.wavevector(state.index.ints[n]))
+        F[n] = sum(state.array[a, n] * fr.X(I2A[a]) for a in _KEY_ORDER
+                   if a == 0 or fr.has_fast)
+    return F, rows
 
 
 def to_vector_coefficients(state: SpectralState) -> dict:

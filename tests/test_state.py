@@ -18,8 +18,11 @@ from geobalance.dynamics import apply_A
 from geobalance.interactions import apply_B, pairing
 from geobalance.lattice import (DomainSpec, SpectralState, check_reality,
                                 enforce_reality, gevrey_norm, random_state,
-                                sobolev_norm, truncate, wavevectors)
-from geobalance.modes import apply_Iomega, apply_L, apply_Linv, frequencies
+                                WaveVector, sobolev_norm, truncate,
+                                wavevectors)
+from geobalance.modes import (apply_Iomega, apply_L, apply_Linv, eigenframe,
+                              frequencies, slow_fast_split,
+                              to_vector_coefficients)
 
 DOM = DomainSpec()
 BOX = DomainSpec(2 * math.pi, 4.0, 3.0)
@@ -124,6 +127,15 @@ def apply_A_ref(dom, c, mu):
 def pairing_ref(dom, a, b):
     return dom.volume * sum((a[k] * b[k].conjugate() for k in sorted(a)
                              if k in b), 0j)
+
+
+def to_vectors_ref(dom, c):
+    out = {}
+    for key in sorted(c):
+        fr = eigenframe(WaveVector.from_ints(dom, key[:3]))
+        out.setdefault(key[:3], np.zeros(3, dtype=complex))
+        out[key[:3]] += c[key] * fr.X(key[3])
+    return out
 
 
 # -- random sparse states -------------------------------------------------------
@@ -250,6 +262,22 @@ class TestAgainstLoops:
         assert_same(apply_Linv(fast), apply_Linv_ref(BOX, c))
         assert close(pairing(s, t), pairing_ref(BOX, c, d))
 
+    @given(SEEDS)
+    @settings(max_examples=10, deadline=None)
+    def test_vector_coefficients_build_no_table(self, seed):
+        c = sparse_coeffs(seed, dom=BOX, kmax=3.3, frac=0.05)
+        s = SpectralState(BOX, 3.3, c)
+        misses = _engine._table.cache_info().misses
+        got = to_vector_coefficients(s)
+        slow, fast = slow_fast_split(s)
+        assert _engine._table.cache_info().misses == misses
+        want = to_vectors_ref(BOX, c)
+        assert list(got) == list(want)
+        scale = max(np.abs(v).max() for v in want.values())
+        for l, v in want.items():
+            assert np.abs(got[l] - v).max() <= TOL * scale, l
+        assert_same(slow + fast, c, tol=0.0)
+
     def test_linv_names_slow_key(self):
         s = SpectralState(DOM, 2.0, {(0, 0, 1, 1): 1.0, (1, 0, 1, 0): 0.0,
                                      (1, 1, 0, 0): 2.0})
@@ -270,6 +298,25 @@ class TestStorage:
     def test_malformed_key_named(self):
         with pytest.raises(ValueError, match=r"\(1, 0, 1\)"):
             SpectralState(DOM, 2.0, {(1, 0, 1, 0): 1.0, (1, 0, 1): 1.0})
+
+    @pytest.mark.parametrize("key", [(1.5, 0, 1, 0), (1, 0, 1.0000001, 0),
+                                     (1, 0, 1, 0.5), (2 ** 70, 0, 1, 0),
+                                     (1, 0, 1, -2 ** 63 - 1), ("1", 0, 1, 0),
+                                     (1, 0, 1), 5])
+    def test_non_integer_key_is_no_key(self, key):
+        s = SpectralState(DOM, 2.0, {(1, 0, 1, 0): 2.0})
+        assert key not in s
+        assert s.get(key, "default") == "default"
+        with pytest.raises(KeyError):
+            s[key]
+        with pytest.raises(ValueError, match="four integers"):
+            SpectralState(DOM, 2.0, {(1, 0, 1, 0): 2.0, key: 1.0})
+
+    def test_integral_float_key_matches_as_in_a_dict(self):
+        s = SpectralState(DOM, 2.0, {(1, 0, 1, 0): 2.0})
+        assert (1.0, 0, 1, 0) in s and s[(1.0, 0, 1, 0)] == 2.0
+        assert SpectralState(DOM, 2.0, {(1.0, 0, 1, 0): 2.0}).keys() \
+            == [(1, 0, 1, 0)]
 
     def test_arrays_read_only(self):
         s = random_state(DOM, 2.0, 1)
@@ -300,7 +347,7 @@ class TestStorage:
         strict = _engine.mode_table(DOM, 2.0, strict=True)
         sub = strict.dense(s)
         assert sub.shape == (3, strict.nk)
-        assert np.array_equal(sub, s.array[:, table.rows_of(strict.ints)])
+        assert np.array_equal(sub, s.array[:, table.index.rows_of(strict.ints)])
 
 
 # -- the bounded caches -------------------------------------------------------------
