@@ -36,8 +36,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import A2I, I2A, DomainSpec, SpectralState, WaveVector, _index
-from .modes import advection_vector, eigenframe, frequencies
+from .lattice import (A2I, I2A, DomainSpec, SpectralState, _frequencies,
+                      _index)
+from .modes import _frames
 
 CONV_METHODS = ("auto", "direct", "grid")
 # "auto" crossover, best of 50 calls on the 2 pi cube (2-vCPU Xeon, numpy
@@ -88,23 +89,11 @@ class ModeTable:
         self.kmax = float(kmax)
         self.strict = bool(strict)
         self.index = ix = _index(domain, self.kmax, self.strict)
-        self.nk = nk = ix.nk
+        self.nk = ix.nk
         self.ints, self.kphys, self.kabs, self.omega = (ix.ints, ix.kphys,
                                                         ix.kabs, ix.omega)
         self.fast_ok = self.ints[:, 2] != 0
-
-        self.X = np.zeros((3, nk, 3), dtype=complex)
-        self.VX = np.zeros((3, nk, 3), dtype=complex)
-        for n, l in enumerate(self.ints.tolist()):
-            kv = WaveVector.from_ints(domain, l)
-            fr = eigenframe(kv)
-            self.X[0, n] = fr.X0
-            self.VX[0, n] = advection_vector(kv, 0)
-            if fr.has_fast:
-                self.X[1, n] = fr.X_plus
-                self.X[2, n] = fr.X_minus
-                self.VX[1, n] = advection_vector(kv, 1)
-                self.VX[2, n] = advection_vector(kv, -1)
+        self.X, self.VX = _frames(self.kphys)
         self._triads = None
         self._grid = None
 
@@ -274,6 +263,6 @@ def exact_resonance(domain: DomainSpec, j, r, k, s) -> bool:
         if nj2 * k[2] ** 2 != nk2 * j[2] ** 2:
             return False
         return (r if j[2] > 0 else -r) == -(s if k[2] > 0 else -s)
-    wj = frequencies(domain.wavevector(*j))[A2I[r]]
-    wk = frequencies(domain.wavevector(*k))[A2I[s]]
+    w = _frequencies(np.array([j, k]) * domain.k_factors())
+    wj, wk = w[A2I[r], 0], w[A2I[s], 1]
     return abs(wj + wk) <= 1e-12 * max(abs(wj), abs(wk))

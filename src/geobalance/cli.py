@@ -145,17 +145,28 @@ def _validate(cfg: RunConfig):
         v.append("eps_grid entries must be > 0")
     if any(n < 0 for n in cfg.n_grid):
         v.append("n_grid entries must be >= 0")
+    if any(not float(n).is_integer() for n in cfg.n_grid):
+        v.append("n_grid entries must be integers")
     if not (cfg.toy_dt > 0 and cfg.toy_T > 0):
         v.append("toy_dt and toy_T must be > 0")
     if cfg.forcing_file:
         try:
-            st = read_snapshot(cfg.forcing_file)
-            ForcingSpec(st.replace(frame="lab") if st.frame != "lab" else st)
-        except OSError as exc:
-            v.append(f"forcing_file: {exc}")
-        except ValueError as exc:
+            ForcingSpec(_read_forcing(cfg.forcing_file))
+        except (OSError, ValueError) as exc:
             v.append(f"forcing_file: {exc}")
     return v
+
+
+def _read_forcing(path) -> SpectralState:
+    """The forcing snapshot at ``path`` as lab-frame coefficients.  A
+    rotated snapshot is accepted only at t = 0, where the frames agree:
+    elsewhere its wave phases depend on epsilon, which it does not store."""
+    st = read_snapshot(path)
+    if st.frame != "lab" and st.t != 0.0:
+        raise ValueError(f"a {st.frame!r} snapshot at t = {st.t:.17g} has "
+                         f"no lab-frame coefficients without epsilon; "
+                         f"give a 'lab' snapshot or one at t = 0")
+    return st.replace(frame="lab")
 
 
 def default_config_path() -> str:
@@ -328,13 +339,8 @@ def _audit_identities(cfg: RunConfig, out):
 
 def _forcing_for(cfg: RunConfig) -> ForcingSpec:
     if cfg.forcing_file:
-        st = read_snapshot(cfg.forcing_file)
-        if st.frame != "lab":
-            st = st.replace(frame="lab")
-        return ForcingSpec(st)
-    return ForcingSpec(
-        default_forcing(cfg.domain(), cfg.kmax,
-                        seed=cfg.seed).coeffs)
+        return ForcingSpec(_read_forcing(cfg.forcing_file))
+    return default_forcing(cfg.domain(), cfg.kmax, seed=cfg.seed)
 
 
 def run(command: str, cfg: RunConfig) -> int:

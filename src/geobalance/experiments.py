@@ -168,15 +168,14 @@ def _fast_part(state: SpectralState) -> SpectralState:
 
 
 def _window_sups(samples):
-    """Sup over the window plus a two-half trend check."""
-    vals = np.asarray(samples)
+    """Sup over the window, the sups of its two halves, and a two-half
+    trend check."""
+    vals = np.asarray(samples, dtype=float)
     half = len(vals) // 2
-    s1 = float(vals[:half].max()) if half else 0.0
-    s2 = float(vals[half:].max()) if len(vals) > half else 0.0
-    sup = float(vals.max()) if len(vals) else 0.0
-    lo = max(s1, s2, 1e-300)
-    converged = abs(s2 - s1) <= 0.25 * lo
-    return sup, converged
+    # the samples are norms, >= 0, so an empty half reads 0
+    s1, s2 = (float(v.max(initial=0.0)) for v in (vals[:half], vals[half:]))
+    converged = abs(s2 - s1) <= 0.25 * max(s1, s2, 1e-300)
+    return max(s1, s2), s1, s2, converged
 
 
 def _run_to_window(domain, kmax, eps, mu, forcing, transient, window,
@@ -218,13 +217,10 @@ def balance_scan(eps_values, domain=None, kmax=DEFAULT_KMAX, mu=DEFAULT_MU,
         _, states = _run_to_window(domain, kmax, eps, mu, forcing,
                                    transient, window, oversample)
         fast = [sobolev_norm(_fast_part(st)) for st in states]
-        sup, converged = _window_sups(fast)
-        half = len(fast) // 2
-        report.rows.append(dict(
-            eps=float(eps), sup_fast=sup,
-            sup_first_half=float(np.max(fast[:half])) if half else 0.0,
-            sup_second_half=float(np.max(fast[half:])),
-            n_samples=len(fast)))
+        sup, s1, s2, converged = _window_sups(fast)
+        report.rows.append(dict(eps=float(eps), sup_fast=sup,
+                                sup_first_half=s1, sup_second_half=s2,
+                                n_samples=len(fast)))
         report.converged.append(converged)
     report.fit("eps", "sup_fast")
     report.passed["slope_ge_0.45"] = report.slope >= 0.45
@@ -257,7 +253,7 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
                                    transient, window, oversample)
         kappa, _, _ = kappa_delta(eps, kmax)
         fast_norms = [sobolev_norm(_fast_part(st)) for st in states]
-        _, converged = _window_sups(fast_norms)
+        *_, converged = _window_sups(fast_norms)
         tails = [sobolev_norm(truncate(_fast_part(st), kappa)[1])
                  for st in states]
         approxes = {n: ManifoldApprox(domain, kappa, eps, mu, forcing,

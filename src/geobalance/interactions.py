@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._engine import I2A, R_ROWS, S_ROWS, mode_table
+from ._engine import A2I, I2A, R_ROWS, S_ROWS, mode_table
 from .lattice import SLOW, SpectralState, WaveVector, _key_sum
-from .modes import advection_vector, eigenframe
+from .modes import _block, _frames
 
 __all__ = [
     "coeff",
@@ -42,17 +42,12 @@ def coeff(domain, j, alpha, k, beta, l, gamma) -> complex:
     l = tuple(int(x) for x in l)
     if tuple(a + b for a, b in zip(j, k)) != l:
         return 0.0j
-    jv = WaveVector.from_ints(domain, j)
-    kv = WaveVector.from_ints(domain, k)
-    lv = WaveVector.from_ints(domain, l)
-    if (alpha != SLOW and jv.l[2] == 0) or (beta != SLOW and kv.l[2] == 0) \
-            or (gamma != SLOW and lv.l[2] == 0):
+    if (alpha != SLOW and j[2] == 0) or (beta != SLOW and k[2] == 0) \
+            or (gamma != SLOW and l[2] == 0) or l == (0, 0, 0):
         return 0.0j
-    if lv.is_zero:
-        return 0.0j
-    adv = advection_vector(jv, alpha)
-    xb = eigenframe(kv).X(beta)
-    xg = eigenframe(lv).X(gamma)
+    jv, kv, lv = (WaveVector.from_ints(domain, x) for x in (j, k, l))
+    X, VX = _frames(_block("eigenframe", jv, kv, lv))
+    adv, xb, xg = VX[A2I[alpha], 0], X[A2I[beta], 1], X[A2I[gamma], 2]
     return 1j * complex(np.dot(adv, kv.k)) * complex(np.dot(xb, np.conj(xg)))
 
 

@@ -114,6 +114,17 @@ class WaveVector:
         return self.l[2] != 0
 
 
+def _frequencies(k: np.ndarray) -> np.ndarray:
+    """The (3, m) frequencies, rows slow/+/-, of an (m, 3) block of nonzero
+    physical wavevectors: 0 on the slow row, omega^+- = +-|k|/k3 off the
+    vertical axis and +-1 on it, and 0 on the fast rows where k3 = 0."""
+    k3 = k[:, 2]
+    wp = np.divide(np.sqrt((k ** 2).sum(axis=1)), k3, out=np.zeros(len(k)),
+                   where=k3 != 0)
+    wp[(k[:, 0] == 0) & (k[:, 1] == 0)] = 1.0
+    return np.stack([np.zeros(len(k)), wp, -wp])
+
+
 class LatticeIndex:
     """Slot layout of the lattice 0 < |k| <= kmax (|k| < kmax if strict):
     the integer triples in lexicographic order, their physical components
@@ -134,12 +145,7 @@ class LatticeIndex:
         keep = kabs < kmax if strict else slice(None)
         self.ints, self.kphys, self.kabs = ints[keep], k[keep], kabs[keep]
         self.nk = nk = len(self.ints)
-        # omega^+- = +-|k|/k3 off the vertical axis, +-1 on it
-        vert = (self.ints[:, 0] == 0) & (self.ints[:, 1] == 0)
-        wp = np.divide(self.kabs, self.kphys[:, 2], out=np.zeros(nk),
-                       where=self.ints[:, 2] != 0)
-        wp[vert] = 1.0
-        self.omega = np.stack([np.zeros(nk), wp, -wp])
+        self.omega = _frequencies(self.kphys)
         self._span = span = int(np.abs(self.ints).max(initial=0))
         self._lut = np.full((2 * span + 1,) * 3, -1, dtype=np.int64)
         self._lut[tuple((self.ints + span).T)] = np.arange(nk)
@@ -148,6 +154,7 @@ class LatticeIndex:
         # key: member g of the orbit of (a, l) lies at l, Zl, -l, -Zl for
         # g = 0..3 (Zl = (l1, l2, -l3)); a slot repeats where a group
         # element fixes its wavevector.
+        vert = (self.ints[:, 0] == 0) & (self.ints[:, 1] == 0)
         z = self.ints * np.array([1, 1, -1])
         cols = np.stack([np.arange(nk), self.rows_of(z),
                          self.rows_of(-self.ints), self.rows_of(-z)])
@@ -393,8 +400,10 @@ def sobolev_norm(state: SpectralState, s: float = 0.0) -> float:
 
 
 def gevrey_norm(state: SpectralState, sigma: float) -> float:
-    """Sobolev s=0 norm with exponential weight e^(2*sigma*|k|)."""
-    return _norm(np.exp(2.0 * sigma * state.index.kabs), state.array)
+    """Sobolev s=0 norm with exponential weight e^(2*sigma*|k|), from
+    libm's exp, which numpy's SIMD exp does not match bit for bit."""
+    x = (2.0 * sigma * state.index.kabs).tolist()
+    return _norm(np.fromiter(map(math.exp, x), float, len(x)), state.array)
 
 
 # -- reality constraints ---------------------------------------------------

@@ -8,6 +8,11 @@ Hermitian projection w_alpha = F . conj(X_alpha) of the 3-vector
 coefficient F, and all diagonal operators (L, L^-1, I_omega) act directly
 on branch coefficients.
 
+The closed forms below are each written once, as numpy expressions over a
+block of wavevectors (omega in ``lattice._frequencies``, X and VX in
+:func:`_frames`); the mode tables, the vector maps and the one-wavevector
+accessors all read them.
+
 Cases (k3 = vertical component, k' = horizontal part):
 * generic (k3 != 0, k' != 0): omega_pm = +-|k|/k3 (signed),
   X0 = (k2, -k1, k3)/|k|,
@@ -23,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import _KEY_ORDER, I2A, SLOW, SpectralState, WaveVector
+from .lattice import (_KEY_ORDER, A2I, SLOW, SpectralState, WaveVector,
+                      _frequencies)
 
 __all__ = [
     "EigenFrame",
@@ -72,68 +78,65 @@ class EigenFrame:
         return w
 
 
+def _frames(k: np.ndarray):
+    """Eigenvectors X and advection vectors VX, each (3, m, 3) in rows
+    slow/+/-, of an (m, 3) block of nonzero physical wavevectors; fast rows
+    are zero where k3 = 0.  VX is X with rho replaced by the vertical
+    velocity u3 that incompressibility gives (0 on the slow branch)."""
+    k1, k2, k3 = k.T
+    kp = np.hypot(k1, k2)
+    ka = np.sqrt((k ** 2).sum(axis=1))
+    vert, gen = kp == 0, (kp != 0) & (k3 != 0)
+    # the forms divide complex numerators: numpy multiplies by the
+    # reciprocal there, which rounds unlike a real division
+    X = np.zeros((3,) + k.shape, dtype=complex)
+    X[0] = (np.array([k2, -k1, k3], dtype=complex).T
+            / np.where(k3 == 0, kp, ka)[:, None])
+    X[0, vert] = 0.0
+    X[0, vert, 2] = np.sign(k3[vert])
+    X[1:, vert] = np.array([[[1.0, -1j, 0.0]], [[1.0, 1j, 0.0]]]) / _SQRT2
+    g1, g2, g3, gp, ga = (x[gen] for x in (k1, k2, k3, kp, ka))
+    a, b, c = -g2 * g3, g1 * g3, gp * gp + 0j
+    i1, i2 = 1j * g1 * ga, 1j * g2 * ga
+    den = (_SQRT2 * gp * ga)[:, None]
+    X[1, gen] = np.array([a + i1, b + i2, c]).T / den
+    X[2, gen] = np.array([a - i1, b - i2, c]).T / den
+    VX = X.copy()
+    VX[0, :, 2] = 0.0
+    # u3 = -+i |k'| / (sqrt2 k3), unreduced and in real arithmetic: that
+    # order of operations gives the tables' established bits
+    VX[1:, gen, 2] = np.array([[-1j], [1j]]) * (gp * gp * ga / g3
+                                               / (_SQRT2 * ga * gp))
+    return X, VX
+
+
+def _block(what: str, *ks: WaveVector) -> np.ndarray:
+    """Nonzero wavevectors as an (m, 3) block."""
+    if any(k.is_zero for k in ks):
+        raise ValueError(f"zero wavevector has no {what}")
+    return np.array([k.k for k in ks])
+
+
 def frequencies(k: WaveVector):
     """(omega0, omega_plus, omega_minus); fast entries None when k3 = 0."""
-    if k.is_zero:
-        raise ValueError("zero wavevector has no mode frequencies")
-    k3 = k.k3
-    if k3 == 0.0:
-        return (0.0, None, None)
-    if k.kperp == 0.0:
-        return (0.0, 1.0, -1.0)
-    w = k.kabs / k3
-    return (0.0, w, -w)
+    w = _frequencies(_block("mode frequencies", k))[:, 0].tolist()
+    return (w[0], *(w[1:] if k.has_fast() else (None, None)))
 
 
 def eigenframe(k: WaveVector) -> EigenFrame:
-    if k.is_zero:
-        raise ValueError("zero wavevector has no eigenframe")
-    k1, k2, k3 = k.k
-    kp = k.kperp
-    ka = k.kabs
-    _, wp, wm = frequencies(k)
-    if k3 == 0.0:
-        X0 = np.array([k2, -k1, 0.0], dtype=complex) / kp
-        return EigenFrame(X0, None, None, 0.0, None, None)
-    if kp == 0.0:
-        sg = 1.0 if k3 > 0 else -1.0
-        X0 = np.array([0.0, 0.0, sg], dtype=complex)
-        Xp = np.array([1.0, -1.0j, 0.0]) / _SQRT2
-        Xm = np.array([1.0, 1.0j, 0.0]) / _SQRT2
-        return EigenFrame(X0, Xp, Xm, 0.0, wp, wm)
-    X0 = np.array([k2, -k1, k3], dtype=complex) / ka
-    den = _SQRT2 * kp * ka
-    Xp = np.array([-k2 * k3 + 1j * k1 * ka, k1 * k3 + 1j * k2 * ka, kp * kp]) / den
-    Xm = np.array([-k2 * k3 - 1j * k1 * ka, k1 * k3 - 1j * k2 * ka, kp * kp]) / den
-    return EigenFrame(X0, Xp, Xm, 0.0, wp, wm)
+    X = _frames(_block("eigenframe", k))[0][:, 0]
+    fast = (X[1], X[2]) if k.has_fast() else (None, None)
+    return EigenFrame(X[0], *fast, *frequencies(k))
 
 
 def advection_vector(k: WaveVector, branch: int) -> np.ndarray:
-    """Incompressible 3-velocity (u1,u2,u3) advecting on behalf of a mode.
-
-    For the fast branches this is V X: the horizontal part of the
-    eigenvector with the vertical velocity recovered from incompressibility
-    (u3 has no prognostic slot; rho occupies the third component of X).
-    For the slow branch the flow is purely horizontal, so u3 = 0 and the
-    horizontal components are those of X0.
-    """
-    if k.is_zero:
-        raise ValueError("zero wavevector has no advection vector")
-    fr = eigenframe(k)
-    if branch == SLOW:
-        out = fr.X0.copy()
-        out[2] = 0.0
-        return out
-    X = fr.X(branch)
-    k1, k2, k3 = k.k
-    kp = k.kperp
-    if kp == 0.0:
-        return X.copy()
-    ka = k.kabs
-    r = float(branch)
-    out = X.copy()
-    out[2] = -1j * r * kp * kp * ka / k3 / (_SQRT2 * ka * kp)
-    return out
+    """Incompressible 3-velocity (u1,u2,u3) advecting on behalf of a mode
+    (see :func:`_frames`)."""
+    VX = _frames(_block("advection vector", k))[1][:, 0]
+    a = A2I[branch]
+    if a and not k.has_fast():
+        raise ValueError("fast branch absent at k3=0")
+    return VX[a]
 
 
 # -- diagonal operators on branch coefficients -----------------------------
@@ -176,11 +179,9 @@ def _vectors(state: SpectralState):
     """The (u1,u2,rho) 3-vectors (nk, 3) summed over the branches in key
     order, zero on rows without a key, and the rows with one."""
     rows = state.mask.any(axis=0)
+    X, _ = _frames(state.index.kphys[rows])
     F = np.zeros((state.index.nk, 3), dtype=complex)
-    for n in np.flatnonzero(rows).tolist():
-        fr = eigenframe(state.wavevector(state.index.ints[n]))
-        F[n] = sum(state.array[a, n] * fr.X(I2A[a]) for a in _KEY_ORDER
-                   if a == 0 or fr.has_fast)
+    F[rows] = sum(state.array[a, rows, None] * X[a] for a in _KEY_ORDER)
     return F, rows
 
 
@@ -193,15 +194,17 @@ def to_vector_coefficients(state: SpectralState) -> dict:
 def from_vector_coefficients(domain, kmax, vcoeffs, frame="rotated",
                              t=0.0) -> SpectralState:
     """Per-wavevector 3-vectors -> branch coefficients (Hermitian dots)."""
-    c = {}
-    for l, F in vcoeffs.items():
-        k = WaveVector.from_ints(domain, l)
-        fr = eigenframe(k)
-        c[(*l, 0)] = complex(np.dot(F, np.conj(fr.X0)))
-        if fr.has_fast:
-            c[(*l, 1)] = complex(np.dot(F, np.conj(fr.X_plus)))
-            c[(*l, -1)] = complex(np.dot(F, np.conj(fr.X_minus)))
-    return SpectralState(domain, kmax, c, frame, t)
+    l = np.array(list(vcoeffs), dtype=np.int64).reshape(-1, 3)
+    index = SpectralState(domain, kmax).index
+    _, n = index._slots(np.c_[l, np.zeros_like(l[:, :1])])  # names a bad key
+    X, _ = _frames(index.kphys[n])
+    F = np.array(list(vcoeffs.values()), dtype=complex).reshape(-1, 3)
+    w = np.zeros((3, index.nk), dtype=complex)
+    w[:, n] = (F[:, None, :] @ np.conj(X)[..., None])[..., 0, 0]  # np.dot bits
+    mask = np.zeros((3, index.nk), dtype=bool)
+    mask[0, n] = True
+    mask[1:, n] = l[:, 2] != 0
+    return SpectralState._of(index, w, mask, frame, t)
 
 
 def slow_fast_split(state: SpectralState, check_tol: float = 1e-10):

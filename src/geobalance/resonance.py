@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import FAST_PAIRS, exact_resonance, mode_table
-from .lattice import DomainSpec
+from .lattice import A2I, DomainSpec, _frequencies
 
 __all__ = [
     "TriadRecord",
@@ -76,7 +76,6 @@ def triad_record(domain: DomainSpec, j, r, k, s,
                  theta0: float = DEFAULT_THETA0) -> TriadRecord:
     """Full record for one fast-fast-slow triad via the scalar paths."""
     from .interactions import coeff
-    from .modes import frequencies
 
     j = tuple(int(x) for x in j)
     k = tuple(int(x) for x in k)
@@ -86,8 +85,8 @@ def triad_record(domain: DomainSpec, j, r, k, s,
     if case == "degenerate" or l == (0, 0, 0):
         return TriadRecord(j, r, k, s, l, 0.0, 0.0j, "degenerate",
                            math.inf, 0.0, 0.0, 0.0)
-    wj = frequencies(domain.wavevector(*j))[1 if r == 1 else 2]
-    wk = frequencies(domain.wavevector(*k))[1 if s == 1 else 2]
+    w = _frequencies(np.array([j, k]) * domain.k_factors())
+    wj, wk = w[A2I[r], 0], w[A2I[s], 1]
     wsum = wj + wk
     csum = vol * (coeff(domain, j, r, k, s, l, 0)
                   + coeff(domain, k, s, j, r, l, 0))

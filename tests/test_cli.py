@@ -227,3 +227,56 @@ class TestSimulateSteps:
         t, out = self._simulate(tmp_path, capsys, 0.025, 0.01)
         assert t == 3 * 0.01
         assert "t_end 0.025 rounded up to 0.03 (3 x dt)" in out
+
+
+class TestForcingFile:
+    """A forcing file holds lab-frame coefficients; a rotated snapshot is
+    the same thing only at t = 0."""
+
+    def _final_state(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("epsilon = 0.2\nkmax = 2\nt_end = 0.2\n")
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        return read_snapshot(out / "final_state.snap")
+
+    def _simulate_with(self, tmp_path, snap):
+        cfg = tmp_path / "forced.cfg"
+        cfg.write_text(f"epsilon = 0.2\nkmax = 2\nt_end = 0.02\n"
+                       f"forcing_file = {snap}\n")
+        return main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "forced")])
+
+    def test_rotated_snapshot_at_nonzero_t_refused(self, tmp_path, capsys):
+        final = self._final_state(tmp_path)
+        assert final.frame == "rotated" and final.t > 0
+        snap = tmp_path / "sim" / "final_state.snap"
+        assert self._simulate_with(tmp_path, snap) == 2
+        err = capsys.readouterr().err
+        assert "forcing_file" in err and "'rotated'" in err
+        assert f"t = {final.t:.17g}" in err
+
+    def test_lab_snapshot_accepted(self, tmp_path):
+        final = self._final_state(tmp_path)
+        snap = tmp_path / "lab.snap"
+        write_snapshot(final.replace(frame="lab"), snap)
+        assert self._simulate_with(tmp_path, snap) == 0
+        cfg = parse_config(f"forcing_file = {snap}\n")
+        assert cfg.forcing_file == str(snap)
+
+    def test_rotated_snapshot_at_t_zero_accepted(self, tmp_path):
+        final = self._final_state(tmp_path)
+        snap = tmp_path / "t0.snap"
+        write_snapshot(final.replace(t=0.0), snap)
+        assert self._simulate_with(tmp_path, snap) == 0
+
+
+class TestNGrid:
+    def test_non_integral_order_rejected(self):
+        with pytest.raises(ConfigError, match="n_grid entries must be "
+                                              "integers"):
+            parse_config("n_grid = 0 1.7\n")
+
+    def test_integral_orders_accepted(self):
+        assert parse_config("n_grid = 0 1 2\n").n_grid == (0, 1, 2)
+        assert parse_config("n_grid = 0 1.0\n").n_grid == (0, 1.0)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geobalance.dynamics import (DivergenceError, ForcingSpec, SolverConfig,
                                  apply_A, energy_budget, integrate,
@@ -261,3 +263,21 @@ class TestReconstruct:
         x, z = np.meshgrid(g["x"], g["z"], indexing="ij")
         want = -2.0 * np.sqrt(2.0) * np.cos(x) * np.cos(z)
         assert np.abs(g["v2"][:, 0, :].real - want).max() <= 1e-12
+
+
+class TestRealityThroughOneStep:
+    """One IF-RK4 step from a random reality-constrained state keeps the
+    constraints at roundoff, on both convolution kernels."""
+
+    @pytest.mark.parametrize("method", ["direct", "grid"])
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           eps=st.sampled_from([0.05, 0.2, 1.0]))
+    @settings(max_examples=10, deadline=None)
+    def test_one_step(self, method, seed, eps):
+        s = random_state(DOM, 3.0, seed, scale=0.5)
+        assert check_reality(s) <= 1e-15
+        cfg = SolverConfig(eps=eps, mu=0.1, dt=0.01, t_end=0.01, kmax=3.0,
+                           conv_method=method)
+        _, w = integrate(s, cfg, _forcing(seed=seed % 1000))
+        scale = max(1.0, float(np.abs(w.array).max()))
+        assert check_reality(w) <= 1e-14 * scale

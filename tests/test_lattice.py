@@ -184,3 +184,15 @@ class TestTruncate:
             tail = sobolev_norm(hi, s_exp)
             env = kappa ** s_exp * math.exp(-sigma * kappa) * g
             assert tail <= 1.1 * env
+
+
+class TestGevreyBits:
+    def test_equals_libm_loop_exactly(self):
+        # libm's exp, hypot and pow, terms added in key order
+        for seed in range(20):
+            s = random_state(DOM, 4.0, seed)
+            total = 0.0
+            for key, v in s.items():
+                kabs = DOM.wavevector(*key[:3]).kabs
+                total += math.exp(2.0 * 0.5 * kabs) * abs(v) ** 2
+            assert gevrey_norm(s, 0.5) == math.sqrt(total)

@@ -152,3 +152,73 @@ class TestSplit:
         _, fast = slow_fast_split(s)
         slow2, fast2 = slow_fast_split(fast)
         assert max((abs(v) for _, v in slow2.items()), default=0.0) <= 1e-12
+
+
+BOX = DomainSpec(2.0 * math.pi, 4.0, 3.0)
+
+
+def _table(dom):
+    from geobalance._engine import ModeTable
+    return ModeTable(dom, 3.0)
+
+
+@pytest.mark.parametrize("dom", [DOM, BOX], ids=["cube", "box"])
+class TestTables:
+    """The closed forms over whole mode tables, at kmax 3."""
+
+    def test_eigen_relation(self, dom):
+        t = _table(dom)
+        fast = t.fast_ok
+        r1, r2 = (t.kphys[fast, :2] / t.kphys[fast, 2:]).T
+        L = np.zeros((len(r1), 3, 3))
+        L[:, 0, 1], L[:, 1, 0] = -1.0, 1.0
+        L[:, 0, 2], L[:, 1, 2], L[:, 2, 0], L[:, 2, 1] = -r1, -r2, r1, r2
+        for a in range(3):
+            X = t.X[a, fast]
+            LX = np.einsum("mij,mj->mi", L, X)
+            assert np.abs(LX - 1j * t.omega[a, fast, None] * X).max() < 1e-13
+
+    def test_orthonormal_per_row(self, dom):
+        t = _table(dom)
+        gram = np.einsum("anc,bnc->nab", t.X, np.conj(t.X))
+        has = np.ones((t.nk, 3), dtype=bool)
+        has[:, 1:] = t.fast_ok[:, None]
+        eye = np.eye(3) * (has[:, :, None] & has[:, None, :])
+        assert np.abs(gram - eye).max() <= 1e-14
+
+    def test_advection_vectors(self, dom):
+        t = _table(dom)
+        assert np.abs(np.einsum("anc,nc->an", t.VX, t.kphys)).max() < 1e-13
+        assert not t.VX[0, :, 2].any()  # slow flow is horizontal
+        assert np.array_equal(t.VX[:, :, :2], t.X[:, :, :2])
+
+    def test_no_fast_rows_at_k3_zero(self, dom):
+        t = _table(dom)
+        flat = t.ints[:, 2] == 0
+        assert flat.any()
+        for arr in (t.X, t.VX, t.omega):
+            assert not arr[1:, flat].any()
+
+    def test_accessors_read_the_tables(self, dom):
+        t = _table(dom)
+        for n, l in enumerate(t.ints.tolist()):
+            kv = dom.wavevector(*l)
+            fr = eigenframe(kv)
+            assert fr.X0.tobytes() == t.X[0, n].tobytes()
+            assert (frequencies(kv)[0], fr.omega0) == (0.0, 0.0)
+            for a, b in ((0, 0), (1, 1), (2, -1)):
+                if b and not fr.has_fast:
+                    assert frequencies(kv)[a] is None
+                    with pytest.raises(ValueError, match="absent"):
+                        advection_vector(kv, b)
+                    continue
+                assert fr.X(b).tobytes() == t.X[a, n].tobytes()
+                assert (advection_vector(kv, b).tobytes()
+                        == t.VX[a, n].tobytes())
+                assert frequencies(kv)[a] == fr.omega(b) == t.omega[a, n]
+
+    def test_zero_wavevector_refused(self, dom):
+        kv = dom.wavevector(0, 0, 0)
+        for f in (frequencies, eigenframe, lambda k: advection_vector(k, 0)):
+            with pytest.raises(ValueError, match="zero wavevector"):
+                f(kv)
