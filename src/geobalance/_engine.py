@@ -21,7 +21,13 @@ Two interchangeable convolution kernels are provided:
   reference path; exact Galerkin convolution, built lazily).
 * ``conv_grid``: pseudospectral product on a padded FFT grid, alias-free
   because the per-axis grid size is at least 3*lmax+1 (the fast path, and
-  an independent physical-space oracle for the direct path).
+  an independent physical-space oracle for the direct path).  The lab
+  fields of reality-constrained states are real, so it scatters only the
+  l3 >= 0 half-spectrum, uses real-to-complex transforms one field at a
+  time, and fills the l3 < 0 output rows by conjugation.  A lab field
+  whose anti-Hermitian part exceeds ``REAL_TOL`` times its largest
+  coefficient is split into two real fields, f = h1 + i h2, and the real
+  product runs on each pair of parts, so non-real inputs stay exact.
 
 :meth:`ModeTable.conv` is the one dispatch point between them.  It accepts
 the methods in ``CONV_METHODS``: ``"direct"``, ``"grid"``, or ``"auto"``,
@@ -44,6 +50,9 @@ CONV_METHODS = ("auto", "direct", "grid")
 # "auto" crossover, best of 50 calls on the 2 pi cube (2-vCPU Xeon, numpy
 # 2.4), grid / direct: 0.64 / 0.57 ms at nk 80, 0.67 / 0.76 ms at nk 92
 AUTO_DIRECT_MAX_NK = 80
+# conv_grid treats a lab field as real when its anti-Hermitian part is at
+# most this times its largest coefficient (roundoff on constrained states)
+REAL_TOL = 1e-13
 # tables kept by mode_table, least recently used dropped first: enough for
 # the full and strict-kappa tables of a scan, or one benchmark workload
 TABLE_CACHE_SIZE = 4
@@ -195,39 +204,60 @@ class ModeTable:
     def _grid_setup(self):
         lmax = np.abs(self.ints).max(axis=0)
         dims = tuple(_next_fast_len(3 * int(m) + 1) for m in lmax)
-        idx = tuple(np.mod(self.ints[:, d], dims[d]) for d in range(3))
-        self._grid = (dims, idx)
+        half = self.ints[:, 2] >= 0
+        idx = tuple(np.mod(self.ints[half, d], dims[d]) for d in range(3))
+        mirror = self.index.rows_of(-self.ints)
+        self._grid = (dims, half, idx, mirror)
 
-    def _to_grid(self, coef: np.ndarray) -> np.ndarray:
-        dims, idx = self._grid
-        g = np.zeros(dims, dtype=complex)
-        g[idx] = coef
-        return np.fft.ifftn(g) * np.prod(dims)
+    def _real_product(self, u: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """Coefficients of u . grad F for real fields u and F, each given
+        by its (3, nk) Hermitian coefficients, of which only the l3 >= 0
+        rows are read."""
+        dims, half, idx, mirror = self._grid
+        spec = np.zeros(dims[:2] + (dims[2] // 2 + 1,), dtype=complex)
 
-    def _from_grid(self, g: np.ndarray) -> np.ndarray:
-        dims, idx = self._grid
-        return np.fft.fftn(g)[idx] / np.prod(dims)
+        def to_grid(coef):
+            spec[idx] = coef
+            return np.fft.irfftn(spec, s=dims, axes=(0, 1, 2),
+                                  norm="forward")
+
+        ik = 1j * self.kphys[half]
+        ugrid = [to_grid(ud) for ud in u[:, half]]
+        adv = np.empty((3, self.nk), dtype=complex)
+        for c, Fc in enumerate(F[:, half]):
+            acc = ugrid[0] * to_grid(ik[:, 0] * Fc)
+            for d in (1, 2):
+                acc += ugrid[d] * to_grid(ik[:, d] * Fc)
+            adv[c, half] = np.fft.rfftn(acc, norm="forward")[idx]
+        adv[:, ~half] = np.conj(adv[:, mirror[~half]])
+        return adv
+
+    def _real_parts(self, f: np.ndarray):
+        """(factor, Hermitian part) pairs summing to the (3, nk) lab field
+        f: f itself when its anti-Hermitian part is at most
+        ``REAL_TOL`` of its largest coefficient, else f = h1 + i h2."""
+        _, _, _, mirror = self._grid
+        fm = np.conj(f[:, mirror])
+        if np.abs(f - fm).max() <= 2 * REAL_TOL * np.abs(f).max():
+            return ((1, f),)
+        return ((1, 0.5 * (f + fm)), (1j, -0.5j * (f - fm)))
 
     def conv_grid(self, w: np.ndarray, what: np.ndarray) -> np.ndarray:
         """Same convolution via physical-space products on a padded grid.
 
         Reconstructs the advecting velocity u from w and the advected
-        3-component field from what, forms u . grad(What) pointwise, and
-        projects back onto the eigenframe.
+        3-component field F from what, forms u . grad(F) pointwise with
+        real-to-complex transforms, and projects back onto the eigenframe.
+        Inputs whose lab fields are not real are split into real parts,
+        and the product is summed over them (it is bilinear).
         """
         if self._grid is None:
             self._grid_setup()
         u = np.einsum("an,anc->cn", w, self.VX)
         F = np.einsum("an,anc->cn", what, self.X)
-        ugrid = [self._to_grid(u[c]) for c in range(3)]
-        adv = np.zeros((3, self.nk), dtype=complex)
-        for c in range(3):
-            acc = None
-            for d in range(3):
-                gd = self._to_grid(1j * self.kphys[:, d] * F[c])
-                term = ugrid[d] * gd
-                acc = term if acc is None else acc + term
-            adv[c] = self._from_grid(acc)
+        Fparts = self._real_parts(F)
+        adv = sum(a * b * self._real_product(up, Fp)
+                  for a, up in self._real_parts(u) for b, Fp in Fparts)
         return np.einsum("cn,anc->an", adv, np.conj(self.X))
 
 

@@ -12,6 +12,7 @@ digits so reruns with identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -122,6 +123,12 @@ def parse_config(text: str) -> RunConfig:
 
 def _validate(cfg: RunConfig):
     v = []
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        for x in val if isinstance(val, tuple) else (val,):
+            if isinstance(x, (float, complex)) and not cmath.isfinite(x):
+                v.append(f"{f.name} must be finite, got {x!r}")
+                break
     for name in ("L1", "L2", "L3"):
         if not getattr(cfg, name) > 0:
             v.append(f"{name} must be > 0")

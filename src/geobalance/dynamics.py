@@ -154,13 +154,17 @@ def _dense_forcing(table, forcing):
     return forcing.coeffs._on(table.index)
 
 
-def _rhs(table, w, t, cfg, fdense, forcing, conv):
-    """Rotated-frame tendency without the diffusion term (handled by IF)."""
-    E = table.phase(t, cfg.eps)
+def _forcing_at(fdense, forcing, t):
+    """The lab-frame forcing coefficients at time t."""
+    return fdense if forcing is None or forcing.modulation is None \
+        else fdense * forcing.amplitude(t)
+
+
+def _rhs(w, E, f, conv):
+    """Rotated-frame tendency without the diffusion term (handled by IF),
+    at the time of phase E = table.phase(t, eps) and forcing f."""
     c = E * w
     N = conv(c, c)
-    f = fdense if forcing is None or forcing.modulation is None \
-        else fdense * forcing.amplitude(t)
     return (f - N) / E
 
 
@@ -173,8 +177,8 @@ def tendency(state: SpectralState, t: float, cfg: SolverConfig,
     w = state.array
     fdense = _dense_forcing(table, forcing)
     conv = table.conv(cfg.conv_method)
-    out = _rhs(table, w, t, cfg, fdense, forcing, conv) \
-        - cfg.mu * table.kabs ** 2 * w
+    out = _rhs(w, table.phase(t, cfg.eps), _forcing_at(fdense, forcing, t),
+               conv) - cfg.mu * table.kabs ** 2 * w
     return SpectralState._of(table.index, out, frame=state.frame, t=t)
 
 
@@ -204,7 +208,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     times, et, ef, es, h1, br = [], [], [], [], [], []
     states = [] if keep_states else None
 
-    def record(t, w):
+    def record(t, w, E, f):
         if keep_states:  # w is never written in place
             states.append(SpectralState._of(table.index, w, t=t))
         fast = np.abs(w[1:]) ** 2
@@ -216,26 +220,33 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
         es.append(math.sqrt(slow.sum()))
         h1.append(math.sqrt(float((table.kabs ** 2
                                    * (np.abs(w) ** 2).sum(axis=0)).sum())))
-        bud = _budget_dense(table, w, t, cfg, fdense, forcing, conv)
-        br.append(bud[-1])
+        br.append(_budget_dense(table, w, E, cfg, f, conv)[-1])
 
-    record(t0, w)
-    rhs = lambda w, t: _rhs(table, w, t, cfg, fdense, forcing, conv)
+    def at(t):  # phase and forcing, once per distinct stage time
+        return table.phase(t, cfg.eps), _forcing_at(fdense, forcing, t)
+
+    # t + h/2 serves stages 2 and 3; the end-of-step time serves stage 4,
+    # the record and the next step's stage 1
+    t = t0
+    E, f = at(t)
+    record(t, w, E, f)
     for n in range(nsteps):
-        t = t0 + n * h
-        k1 = rhs(w, t)
+        t1 = t0 + (n + 1) * h
+        (Em, fm), (E1, f1) = at(t + 0.5 * h), at(t1)
+        k1 = _rhs(w, E, f, conv)
         w1 = ea * (w + 0.5 * h * k1)
-        k2 = rhs(w1, t + 0.5 * h)
+        k2 = _rhs(w1, Em, fm, conv)
         w2 = ea * w + 0.5 * h * k2
-        k3 = rhs(w2, t + 0.5 * h)
+        k3 = _rhs(w2, Em, fm, conv)
         w3 = eb * w + h * ea * k3
-        k4 = rhs(w3, t + h)
+        k4 = _rhs(w3, E1, f1, conv)
         w = eb * w + (h / 6.0) * (eb * k1 + 2.0 * ea * (k2 + k3) + k4)
         if not np.isfinite(w).all():
             raise DivergenceError(
-                f"non-finite coefficients at step {n + 1} (t = {t + h:g})")
+                f"non-finite coefficients at step {n + 1} (t = {t1:g})")
         if (n + 1) % cfg.record_every == 0 or n + 1 == nsteps:
-            record(t0 + (n + 1) * h, w)
+            record(t1, w, E1, f1)
+        t, E, f = t1, E1, f1
 
     rec = TrajectoryRecord(times=np.array(times), e_total=np.array(et),
                            e_fast=np.array(ef), e_slow=np.array(es),
@@ -244,8 +255,9 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     return rec, SpectralState._of(table.index, w, t=t0 + nsteps * h)
 
 
-def _budget_dense(table, w, t, cfg, fdense, forcing, conv):
-    """Fast-branch energy budget terms from a rotated dense state.
+def _budget_dense(table, w, E, cfg, f, conv):
+    """Fast-branch energy budget terms from a rotated dense state, at the
+    time of phase E = table.phase(t, eps) and lab-frame forcing f.
 
     Returns (de_fast, dissipation, transfer, injection, residual), where
     de_fast = (1/2) d|We|^2/dt and the identity
@@ -256,10 +268,8 @@ def _budget_dense(table, w, t, cfg, fdense, forcing, conv):
     factor.
     """
     vol = table.domain.volume
-    E = table.phase(t, cfg.eps)
     c = E * w
     N = conv(c, c)
-    f = fdense * (forcing.amplitude(t) if forcing is not None else 1.0)
     cdot = -N - cfg.mu * table.kabs ** 2 * c + f  # lab tendency minus iL/eps
     fastsel = np.s_[1:]
     de = vol * float((np.conj(c[fastsel]) * cdot[fastsel]).sum().real)
@@ -280,7 +290,8 @@ def energy_budget(state: SpectralState, forcing: ForcingSpec | None,
     table = mode_table(state.domain, state.kmax)
     w = state.array
     fdense = _dense_forcing(table, forcing)
-    return _budget_dense(table, w, t, cfg, fdense, forcing,
+    return _budget_dense(table, w, table.phase(t, cfg.eps), cfg,
+                         _forcing_at(fdense, forcing, t),
                          table.conv(cfg.conv_method))
 
 

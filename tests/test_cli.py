@@ -280,3 +280,14 @@ class TestNGrid:
     def test_integral_orders_accepted(self):
         assert parse_config("n_grid = 0 1 2\n").n_grid == (0, 1, 2)
         assert parse_config("n_grid = 0 1.0\n").n_grid == (0, 1.0)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("line", [
+        "kmax = inf", "t_end = inf", "dt = nan", "mu = nan", "L2 = inf",
+        "transient = nan", "toy_f = nan+0j", "eps_grid = 0.1 1e400",
+        "n_grid = 0 1e400"])
+    def test_rejected_naming_the_key(self, line):
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            parse_config(line + "\n")
