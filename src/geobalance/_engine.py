@@ -17,8 +17,14 @@ the resonance audit and the frequency-weighted operator share.
 
 Two interchangeable convolution kernels are provided:
 
-* ``conv_direct``: summation over a precomputed triad index table (the
-  reference path; exact Galerkin convolution, built lazily).
+* ``conv_direct``: exact, alias-free Galerkin summation over the closing
+  wavevector pairs j + k = l (the reference path).  The coefficient
+  factorizes, so the sum over branch triples collapses onto the lab fields
+  u = sum VX.w and F = sum X.what that ``conv_grid`` also forms:
+  out[g, l] = conj X_l^g . sum_{j+k=l} i (u_j . k) F_k.  Its table, built
+  lazily, holds one row of int32 indices per pair and no coefficients; a
+  table and call arrays over ``DIRECT_MAX_BYTES`` raise ``MemoryError``
+  while it is built.
 * ``conv_grid``: pseudospectral product on a padded FFT grid, alias-free
   because the per-axis grid size is at least 3*lmax+1 (the fast path, and
   an independent physical-space oracle for the direct path).  The lab
@@ -47,15 +53,24 @@ from .lattice import (A2I, I2A, DomainSpec, SpectralState, _frequencies,
 from .modes import _frames
 
 CONV_METHODS = ("auto", "direct", "grid")
-# "auto" crossover, best of 50 calls on the 2 pi cube (2-vCPU Xeon, numpy
-# 2.4), grid / direct: 0.64 / 0.57 ms at nk 80, 0.67 / 0.76 ms at nk 92
-AUTO_DIRECT_MAX_NK = 80
+# "auto" crossover, best of 50 calls in fresh processes on the 2 pi cube
+# (2-vCPU Xeon, numpy 2.4), grid / direct: 0.46 / 0.08 ms at nk 92,
+# 0.59 / 0.38 ms at nk 146, 0.61 / 0.58 ms at nk 178 (kmax 3.5), 0.64 /
+# 0.78 ms at nk 202 and 0.85 / 1.24 ms at nk 256
+AUTO_DIRECT_MAX_NK = 178
 # conv_grid treats a lab field as real when its anti-Hermitian part is at
 # most this times its largest coefficient (roundoff on constrained states)
 REAL_TOL = 1e-13
 # tables kept by mode_table, least recently used dropped first: enough for
 # the full and strict-kappa tables of a scan, or one benchmark workload
 TABLE_CACHE_SIZE = 4
+# bytes per closing pair of conv_direct: four int32 indices in the table,
+# and 64 bytes of working arrays in each call
+PAIR_BYTES = 80
+# largest pair table plus call arrays (with the (nk, nk) array of u_j . k)
+# that conv_direct builds: kmax 8 on the cube needs about 240 MB; the
+# bound also keeps j * nk + k within int32
+DIRECT_MAX_BYTES = 2 ** 29
 
 # fast branch pairs (r, s) in canonical order; the rows of r and of s and
 # the sign products r s, each shaped (4, 1)
@@ -76,6 +91,18 @@ def _next_fast_len(n: int) -> int:
         if m == 1:
             return n
         n += 1
+
+
+class Pairs(NamedTuple):
+    """The closing wavevector pairs j + k = l of one table, ordered by l
+    and then j; J, K, L and JK are int32."""
+
+    J: np.ndarray       # rows j, (m,)
+    K: np.ndarray       # rows k, (m,)
+    L: np.ndarray       # rows l = j + k, (m,)
+    JK: np.ndarray      # J * nk + K: the pair's entry of the (nk, nk) u_j . k
+    rows: np.ndarray    # the distinct rows l, ascending
+    starts: np.ndarray  # first pair of each of them
 
 
 class FastFastSlow(NamedTuple):
@@ -162,21 +189,39 @@ class ModeTable:
         return FastFastSlow(K, L, wj, wk, wsum, csum, res)
 
     # -- direct triad table ------------------------------------------------
-    def _build_triads(self):
-        z = np.zeros(0, dtype=np.int64)
-        jj, kk, ll, cc = [z], [z], [z], [np.zeros(0, dtype=complex)]
+    def pairs(self) -> Pairs:
+        """The closing-pair table of ``conv_direct``, built on first use."""
+        return self._triads if self._triads is not None else \
+            self._build_triads()
+
+    def _build_triads(self) -> Pairs:
+        """Collect the closing pairs row by row; ``MemoryError`` as soon as
+        they and the call arrays pass ``DIRECT_MAX_BYTES``."""
         nk = self.nk
         rows = np.arange(nk)
+        square = 16 * nk * nk  # complex u_j . k for every (j, k)
+        jj, kk, ll, m = [], [], [], 0
         for jn in range(nk):
             K, L = self.closing_rows(jn, rows)
-            c = self.coeff(_A3, jn, _B3, K, _G3, L)  # (a, b, g, m)
-            ai, bi, gi, m = np.nonzero(c)
-            jj.append(ai * nk + jn)
-            kk.append(bi * nk + K[m])
-            ll.append(gi * nk + L[m])
-            cc.append(c[ai, bi, gi, m])
-        self._triads = (np.concatenate(jj), np.concatenate(kk),
-                        np.concatenate(ll), np.concatenate(cc))
+            m += K.size
+            if square + PAIR_BYTES * m > DIRECT_MAX_BYTES:
+                projected = square + PAIR_BYTES * m * nk // (jn + 1)
+                raise MemoryError(
+                    f"direct convolution on nk = {nk} modes needs about "
+                    f"{projected:,} bytes (pair table and call arrays, "
+                    f"projected from {jn + 1} of {nk} rows), over "
+                    f"DIRECT_MAX_BYTES = {DIRECT_MAX_BYTES:,}; use "
+                    f"conv_grid")
+            jj.append(np.full(K.size, jn, dtype=np.int32))
+            kk.append(K.astype(np.int32))
+            ll.append(L.astype(np.int32))
+        J, K, L = (np.concatenate(x) if x else np.zeros(0, dtype=np.int32)
+                   for x in (jj, kk, ll))
+        order = np.lexsort((J, L))
+        J, K, L = J[order], K[order], L[order]
+        targets, starts = np.unique(L, return_index=True)
+        self._triads = Pairs(J, K, L, J * np.int32(nk) + K, targets, starts)
+        return self._triads
 
     # -- convolution -------------------------------------------------------
     def conv(self, method: str = "auto"):
@@ -191,14 +236,15 @@ class ModeTable:
                          f"choose from {', '.join(CONV_METHODS)}")
 
     def conv_direct(self, w: np.ndarray, what: np.ndarray) -> np.ndarray:
-        """Galerkin convolution by direct triad summation."""
-        if self._triads is None:
-            self._build_triads()
-        jj, kk, ll, cc = self._triads
-        terms = cc * w.reshape(-1)[jj] * what.reshape(-1)[kk]
-        out = (np.bincount(ll, weights=terms.real, minlength=3 * self.nk)
-               + 1j * np.bincount(ll, weights=terms.imag, minlength=3 * self.nk))
-        return out.reshape(3, self.nk)
+        """Galerkin convolution by direct summation over the closing pairs."""
+        p = self.pairs()
+        u = np.einsum("an,anc->nc", w, self.VX)
+        F = np.einsum("an,anc->cn", what, self.X)
+        terms = np.take(F, p.K, axis=1)
+        terms *= np.take(u @ self.kphys.T, p.JK)  # u_j . k
+        adv = np.zeros((3, self.nk), dtype=complex)
+        adv[:, p.rows] = np.add.reduceat(terms, p.starts, axis=1)
+        return 1j * np.einsum("cn,anc->an", adv, np.conj(self.X))
 
     # -- pseudospectral grid path ------------------------------------------
     def _grid_setup(self):

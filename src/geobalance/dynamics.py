@@ -160,11 +160,17 @@ def _forcing_at(fdense, forcing, t):
         else fdense * forcing.amplitude(t)
 
 
-def _rhs(w, E, f, conv):
-    """Rotated-frame tendency without the diffusion term (handled by IF),
-    at the time of phase E = table.phase(t, eps) and forcing f."""
+def _square(w, E, conv):
+    """The lab-frame product N = B(c, c) of c = E * w, at the time of
+    phase E = table.phase(t, eps)."""
     c = E * w
-    N = conv(c, c)
+    return conv(c, c)
+
+
+def _rhs(N, E, f):
+    """Rotated-frame tendency without the diffusion term (handled by IF),
+    from the product N = _square(w, E, conv) and the forcing f at the
+    time of E."""
     return (f - N) / E
 
 
@@ -177,8 +183,9 @@ def tendency(state: SpectralState, t: float, cfg: SolverConfig,
     w = state.array
     fdense = _dense_forcing(table, forcing)
     conv = table.conv(cfg.conv_method)
-    out = _rhs(w, table.phase(t, cfg.eps), _forcing_at(fdense, forcing, t),
-               conv) - cfg.mu * table.kabs ** 2 * w
+    E = table.phase(t, cfg.eps)
+    out = (_rhs(_square(w, E, conv), E, _forcing_at(fdense, forcing, t))
+           - cfg.mu * table.kabs ** 2 * w)
     return SpectralState._of(table.index, out, frame=state.frame, t=t)
 
 
@@ -209,6 +216,8 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     states = [] if keep_states else None
 
     def record(t, w, E, f):
+        """Append the diagnostics of w; returns its product N, which the
+        next step's first stage reuses."""
         if keep_states:  # w is never written in place
             states.append(SpectralState._of(table.index, w, t=t))
         fast = np.abs(w[1:]) ** 2
@@ -220,32 +229,36 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
         es.append(math.sqrt(slow.sum()))
         h1.append(math.sqrt(float((table.kabs ** 2
                                    * (np.abs(w) ** 2).sum(axis=0)).sum())))
-        br.append(_budget_dense(table, w, E, cfg, f, conv)[-1])
+        N = _square(w, E, conv)
+        br.append(_budget_dense(table, w, E, cfg, f, conv, N)[-1])
+        return N
 
     def at(t):  # phase and forcing, once per distinct stage time
         return table.phase(t, cfg.eps), _forcing_at(fdense, forcing, t)
 
     # t + h/2 serves stages 2 and 3; the end-of-step time serves stage 4,
-    # the record and the next step's stage 1
+    # the record and the next step's stage 1, which takes the record's
+    # product N of the same w and E
     t = t0
     E, f = at(t)
-    record(t, w, E, f)
+    N = record(t, w, E, f)
     for n in range(nsteps):
         t1 = t0 + (n + 1) * h
         (Em, fm), (E1, f1) = at(t + 0.5 * h), at(t1)
-        k1 = _rhs(w, E, f, conv)
+        k1 = _rhs(_square(w, E, conv) if N is None else N, E, f)
         w1 = ea * (w + 0.5 * h * k1)
-        k2 = _rhs(w1, Em, fm, conv)
+        k2 = _rhs(_square(w1, Em, conv), Em, fm)
         w2 = ea * w + 0.5 * h * k2
-        k3 = _rhs(w2, Em, fm, conv)
+        k3 = _rhs(_square(w2, Em, conv), Em, fm)
         w3 = eb * w + h * ea * k3
-        k4 = _rhs(w3, E1, f1, conv)
+        k4 = _rhs(_square(w3, E1, conv), E1, f1)
         w = eb * w + (h / 6.0) * (eb * k1 + 2.0 * ea * (k2 + k3) + k4)
         if not np.isfinite(w).all():
             raise DivergenceError(
                 f"non-finite coefficients at step {n + 1} (t = {t1:g})")
+        N = None
         if (n + 1) % cfg.record_every == 0 or n + 1 == nsteps:
-            record(t1, w, E1, f1)
+            N = record(t1, w, E1, f1)
         t, E, f = t1, E1, f1
 
     rec = TrajectoryRecord(times=np.array(times), e_total=np.array(et),
@@ -255,9 +268,10 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     return rec, SpectralState._of(table.index, w, t=t0 + nsteps * h)
 
 
-def _budget_dense(table, w, E, cfg, f, conv):
+def _budget_dense(table, w, E, cfg, f, conv, N):
     """Fast-branch energy budget terms from a rotated dense state, at the
-    time of phase E = table.phase(t, eps) and lab-frame forcing f.
+    time of phase E = table.phase(t, eps) and lab-frame forcing f; N is
+    the state's product _square(w, E, conv).
 
     Returns (de_fast, dissipation, transfer, injection, residual), where
     de_fast = (1/2) d|We|^2/dt and the identity
@@ -269,7 +283,6 @@ def _budget_dense(table, w, E, cfg, f, conv):
     """
     vol = table.domain.volume
     c = E * w
-    N = conv(c, c)
     cdot = -N - cfg.mu * table.kabs ** 2 * c + f  # lab tendency minus iL/eps
     fastsel = np.s_[1:]
     de = vol * float((np.conj(c[fastsel]) * cdot[fastsel]).sum().real)
@@ -290,9 +303,9 @@ def energy_budget(state: SpectralState, forcing: ForcingSpec | None,
     table = mode_table(state.domain, state.kmax)
     w = state.array
     fdense = _dense_forcing(table, forcing)
-    return _budget_dense(table, w, table.phase(t, cfg.eps), cfg,
-                         _forcing_at(fdense, forcing, t),
-                         table.conv(cfg.conv_method))
+    E, conv = table.phase(t, cfg.eps), table.conv(cfg.conv_method)
+    return _budget_dense(table, w, E, cfg, _forcing_at(fdense, forcing, t),
+                         conv, _square(w, E, conv))
 
 
 def reconstruct_fields(state: SpectralState, resolution) -> dict:

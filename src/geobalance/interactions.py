@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._engine import A2I, I2A, R_ROWS, S_ROWS, mode_table
+from ._engine import (_A3, _B3, _G3, A2I, I2A, R_ROWS, S_ROWS,
+                      mode_table)
 from .lattice import SLOW, SpectralState, WaveVector, _key_sum
 from .modes import _block, _frames
 
@@ -159,10 +160,12 @@ def dump_coeffs_csv(domain, kmax: float, path) -> int:
     Returns the number of rows written.
     """
     table = mode_table(domain, kmax)
-    if table._triads is None:
-        table._build_triads()
-    jj, kk, ll, cc = table._triads
+    J, K, L = table.pairs()[:3]
+    c = table.coeff(_A3, J, _B3, K, _G3, L)  # (a, b, g, pair)
+    ai, bi, gi, m = np.nonzero(c)
     n = table.nk
+    jj, kk, ll = ai * n + J[m], bi * n + K[m], gi * n + L[m]
+    cc = c[ai, bi, gi, m]
     rows = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("# interaction coefficients, |M| factor excluded\n")

@@ -76,11 +76,22 @@ class _Ctx:
         self.linv_fast = np.zeros_like(iw)
         np.divide(1.0, iw, out=self.linv_fast, where=table.omega != 0.0)
         self.diff = self.mu * table.kabs[None, :] ** 2
-        # not "auto" yet: the bench trace self-test expects conv_direct
-        self._conv = table.conv("direct")
+        self._conv = table.conv("auto")
+        self._memo = {}
 
     def conv(self, a, b):
-        """Rotated-frame convolution of two plain (3, nk) blocks."""
+        """Rotated-frame convolution of two plain (3, nk) blocks, computed
+        once per distinct pair of operands in this context (the orders of
+        the recursion repeat their lower orders' products bit for bit).
+        The result is read-only."""
+        key = (a.tobytes(), b.tobytes())
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = self._product(a, b)
+            out.flags.writeable = False
+        return out
+
+    def _product(self, a, b):
         return self._conv(self.E * a, self.E * b) / self.E
 
     def jet_B(self, a, b):
@@ -182,8 +193,12 @@ class ManifoldApprox:
         t = state.t if state.frame == "rotated" else 0.0
         return _Ctx(self.table, self.eps, self.mu, self.forcing, t)
 
-    def __call__(self, state: SpectralState) -> SpectralState:
-        ctx = self._ctx(state)
+    def __call__(self, state: SpectralState, ctx: _Ctx | None = None
+                 ) -> SpectralState:
+        """U^n at ``state``.  ``ctx``, when given, is the context of an
+        evaluator with the same table, eps, mu and forcing at this state:
+        its products are shared with the other calls that use it."""
+        ctx = self._ctx(state) if ctx is None else ctx
         J = _slow(state._on(self.table.index))[None]
         out = _eval_u(ctx, self.order, J)[0]
         return _state(self.table, out, state.frame, state.t)
@@ -260,13 +275,15 @@ def remainder_direct(approx: ManifoldApprox, state: SpectralState
 
 def remainder_diff(approx_n: ManifoldApprox, approx_np1: ManifoldApprox,
                    state: SpectralState) -> SpectralState:
-    """R^n by the order difference (1/eps) L (U^n - U^{n+1})."""
-    for attr in ("domain", "kappa", "eps", "mu"):
+    """R^n by the order difference (1/eps) L (U^n - U^{n+1}); the two
+    orders share one context, so U^{n+1} reuses the products of U^n."""
+    for attr in ("domain", "kappa", "eps", "mu", "forcing"):
         if getattr(approx_n, attr) != getattr(approx_np1, attr):
             raise ValueError(f"mismatched {attr} between orders")
     if approx_np1.order != approx_n.order + 1:
         raise ValueError("orders must be consecutive")
-    dU = approx_n(state) - approx_np1(state)
+    ctx = approx_n._ctx(state)
+    dU = approx_n(state, ctx) - approx_np1(state, ctx)
     table = approx_n.table
     return _state(table, (1j * table.omega / approx_n.eps) * dU._on(table.index),
                   state.frame, state.t)

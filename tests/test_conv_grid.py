@@ -1,13 +1,20 @@
-"""The real-field grid product against the direct triad sum, on the cube
-and on an anisotropic box, for real and for non-real lab fields."""
+"""The direct kernel's pair sum against a per-triple sum built from the
+coefficients, the bound on its pair table, and the real-field grid product
+against the direct sum, on the cube and on an anisotropic box, for real and
+for non-real lab fields."""
 
+import functools
 import math
+import re
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geobalance._engine import REAL_TOL, ModeTable, mode_table
+from geobalance import _engine
+from geobalance._engine import (_A3, _B3, _G3, PAIR_BYTES, REAL_TOL,
+                                ModeTable, mode_table)
 from geobalance.lattice import DomainSpec, SpectralState, enforce_reality
 
 DOM = DomainSpec()
@@ -26,11 +33,77 @@ def _random(table, rng, constrained):
     return w
 
 
+@functools.lru_cache(maxsize=len(CASES))
+def _entries(table):
+    """The per-triple table of the direct sum, row by row from the triad
+    engine: flat slot indices a * nk + j, b * nk + k, g * nk + l of every
+    nonzero coefficient ``coeff``, and the coefficient."""
+    n = table.nk
+    rows = np.arange(n)
+    parts = []
+    for jn in range(n):
+        K, L = table.closing_rows(jn, rows)
+        c = table.coeff(_A3, jn, _B3, K, _G3, L)  # (a, b, g, m)
+        a, b, g, m = np.nonzero(c)
+        parts.append((a * n + jn, b * n + K[m], g * n + L[m], c[a, b, g, m]))
+    return tuple(np.concatenate(x) for x in zip(*parts))
+
+
+def _triad_terms(table, w, what):
+    """Every nonzero triad term of the direct sum, and its output slot."""
+    jj, kk, ll, cc = _entries(table)
+    return cc * w.reshape(-1)[jj] * what.reshape(-1)[kk], ll
+
+
 def _largest_term(table, w, what):
     """Largest single triad term of the direct sum."""
-    table.conv_direct(w, what)  # builds the triad table
-    jj, kk, _, cc = table._triads
-    return float(np.abs(cc * w.reshape(-1)[jj] * what.reshape(-1)[kk]).max())
+    return float(np.abs(_triad_terms(table, w, what)[0]).max())
+
+
+@given(case=st.sampled_from(CASES), seed=st.integers(0, 2 ** 32 - 1),
+       constrained=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_pair_kernel_equals_per_triple_sum(case, seed, constrained):
+    table = mode_table(*case)
+    rng = np.random.default_rng(seed)
+    w, what = (_random(table, rng, constrained) for _ in range(2))
+    terms, ll = _triad_terms(table, w, what)
+    n = 3 * table.nk
+    want = (np.bincount(ll, weights=terms.real, minlength=n)
+            + 1j * np.bincount(ll, weights=terms.imag, minlength=n))
+    err = np.abs(table.conv_direct(w, what) - want.reshape(3, -1)).max()
+    assert err <= 1e-13 * np.abs(terms).max()
+
+
+def test_pair_table_holds_every_closing_pair_once():
+    table = mode_table(DOM, 4.0)
+    p = table.pairs()
+    assert all(a.dtype == np.int32 for a in (p.J, p.K, p.L, p.JK))
+    assert (table.ints[p.J] + table.ints[p.K] == table.ints[p.L]).all()
+    assert np.array_equal(p.JK, p.J * table.nk + p.K)
+    rows = np.arange(table.nk)
+    count = sum(table.closing_rows(jn, rows)[0].size for jn in rows)
+    assert len(np.unique(p.JK)) == p.J.size == count
+
+
+def test_pair_table_over_the_byte_bound_raises(monkeypatch):
+    """The bound is checked while the pairs are collected: a budget one
+    byte short of a table and its call arrays raises ``MemoryError``
+    naming nk and the projected bytes, and builds nothing."""
+    nk, m = 256, mode_table(DOM, 4.0).pairs().J.size
+    need = 16 * nk * nk + PAIR_BYTES * m
+    monkeypatch.setattr(_engine, "DIRECT_MAX_BYTES", need)
+    assert ModeTable(DOM, 4.0).pairs().J.size == m
+    w = _random(mode_table(DOM, 4.0), np.random.default_rng(1), True)
+    for budget in (need - 1, need // 2):
+        monkeypatch.setattr(_engine, "DIRECT_MAX_BYTES", budget)
+        table = ModeTable(DOM, 4.0)
+        with pytest.raises(MemoryError, match="nk = 256 modes") as err:
+            table.conv_direct(w, w)
+        projected = int(re.search(r"about ([\d,]+) bytes",
+                                  str(err.value))[1].replace(",", ""))
+        assert projected > budget
+        assert table._triads is None
 
 
 def _lab_field(table, what):

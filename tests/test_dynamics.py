@@ -198,6 +198,31 @@ class TestBudget:
         got = energy_budget(s, f, 0.3, grid)
         assert got[:4] == pytest.approx(want[:4], rel=1e-11)
 
+    def test_records_lend_their_product_to_the_next_step(self, monkeypatch):
+        """A record's product B(c, c) of c = E w at the step's end is the
+        next step's stage-1 product: 4 steps recorded every 2 make 16 stage
+        products and 3 records of 2, less the 2 records a step follows.
+        The reuse is bit-exact: the final state does not depend on the
+        record cadence."""
+        from geobalance._engine import ModeTable
+
+        s = enforce_reality(random_state(DOM, 2.0, 50, scale=0.5))
+        cfg = SolverConfig(eps=0.2, mu=0.3, dt=0.05, t_end=0.2, kmax=2.0,
+                           record_every=2, conv_method="direct")
+        f = _forcing(seed=51)
+        _, once = integrate(s, replace(cfg, record_every=4), f)
+        calls = []
+        direct = ModeTable.conv_direct
+
+        def counted(self, w, what):
+            calls.append(1)
+            return direct(self, w, what)
+
+        monkeypatch.setattr(ModeTable, "conv_direct", counted)
+        _, final = integrate(s, cfg, f)
+        assert len(calls) == 4 * 4 + 3 * 2 - 2
+        assert np.array_equal(final.array, once.array)
+
     def test_dissipation_sign_and_value(self):
         s = SpectralState(DOM, 2.0, {(1, 0, 1, 1): 1.0, (-1, 0, -1, 1): -1.0})
         cfg = SolverConfig(eps=0.2, mu=0.5, dt=0.1, t_end=0.1, kmax=2.0)

@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from geobalance._engine import ModeTable
 from geobalance.dynamics import ForcingSpec, apply_A
 from geobalance.interactions import apply_B_fast, apply_B_slow
 from geobalance.lattice import (DomainSpec, SpectralState, enforce_reality,
                                 random_state, sobolev_norm)
 from geobalance.modes import apply_Linv
-from geobalance.slowmanifold import (ManifoldApprox, contraction_scan, g_of,
-                                     iterate, kappa_delta, remainder_diff,
-                                     remainder_direct, u1)
+from geobalance.slowmanifold import (ManifoldApprox, _Ctx, contraction_scan,
+                                     g_of, iterate, kappa_delta,
+                                     remainder_diff, remainder_direct, u1)
 
 DOM = DomainSpec()
 KMAX = 2.0
@@ -231,6 +232,11 @@ class TestRemainder:
         a3 = ManifoldApprox(DOM, KAPPA, 0.1, 0.3, f, order=3, n_cap=4)
         with pytest.raises(ValueError, match="consecutive"):
             remainder_diff(a1, a3, _slow_state(24))
+        # the two orders share one context, which holds one forcing
+        b2 = ManifoldApprox(DOM, KAPPA, 0.1, 0.3, _forcing(25), order=2,
+                            n_cap=4)
+        with pytest.raises(ValueError, match="forcing"):
+            remainder_diff(a1, b2, _slow_state(24))
 
 
 class TestContraction:
@@ -245,3 +251,52 @@ class TestContraction:
         assert thresh is not None and thresh >= 0.05
         norms = dict(rows)[0.05]
         assert all(b < a for a, b in zip(norms, norms[1:]))
+
+
+class TestProductsOncePerCall:
+    """Each public call computes every distinct product once: the orders
+    of the recursion repeat their lower orders' products bit for bit."""
+
+    def _setup(self):
+        W = _slow_state(21, scale=0.4)
+        f = _forcing(22)
+        ap = [ManifoldApprox(DOM, KAPPA, 0.1, 0.3, f, order=n, n_cap=4)
+              for n in range(4)]
+        return W, ap, _slow_state(27, scale=1.0)
+
+    def test_direct_kernel_calls(self, monkeypatch):
+        W, ap, _ = self._setup()
+        calls = []
+        direct = ModeTable.conv_direct
+
+        def counted(self, a, b):
+            calls.append(1)
+            return direct(self, a, b)
+
+        monkeypatch.setattr(ModeTable, "conv_direct", counted)
+        for want, run in ((1, lambda: ap[1](W)), (4, lambda: ap[2](W)),
+                          (13, lambda: ap[3](W)),
+                          (13, lambda: remainder_direct(ap[2], W)),
+                          (13, lambda: remainder_diff(ap[2], ap[3], W))):
+            calls.clear()
+            run()
+            assert len(calls) == want
+        # without the memo, U^3 makes 21 (1 + 5 + 15 over the recursion)
+        monkeypatch.setattr(_Ctx, "conv", _Ctx._product)
+        calls.clear()
+        ap[3](W)
+        assert len(calls) == 21
+
+    def test_memo_is_bit_exact(self, monkeypatch):
+        W, ap, d = self._setup()
+
+        def outputs():
+            U, (DU,) = ap[3].jet(W, [d])
+            return [U.array, DU.array, ap[3](W).array,
+                    remainder_direct(ap[2], W).array,
+                    remainder_diff(ap[2], ap[3], W).array]
+
+        memo = outputs()
+        monkeypatch.setattr(_Ctx, "conv", _Ctx._product)
+        for a, b in zip(memo, outputs()):
+            assert np.array_equal(a, b)
