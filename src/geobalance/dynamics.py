@@ -174,12 +174,20 @@ def _rhs(N, E, f):
     return (f - N) / E
 
 
+def _table(state: SpectralState, cfg: SolverConfig):
+    """The mode table of ``state``'s lattice, which ``cfg.kmax`` must name."""
+    if cfg.kmax != state.kmax:
+        raise ValueError(f"SolverConfig kmax = {cfg.kmax!r} differs from the "
+                         f"state's kmax = {state.kmax!r}")
+    return mode_table(state.domain, state.kmax)
+
+
 def tendency(state: SpectralState, t: float, cfg: SolverConfig,
              forcing: ForcingSpec | None = None) -> SpectralState:
     """Full rotated-frame tendency dw/dt, including dissipation."""
     if state.frame != "rotated":
         raise ValueError("tendency expects a rotated-frame state")
-    table = mode_table(state.domain, state.kmax)
+    table = _table(state, cfg)
     w = state.array
     fdense = _dense_forcing(table, forcing)
     conv = table.conv(cfg.conv_method)
@@ -201,7 +209,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     """
     if state0.frame != "rotated":
         raise ValueError("integrate expects a rotated-frame initial state")
-    table = mode_table(state0.domain, state0.kmax)
+    table = _table(state0, cfg)
     w = state0.array
     fdense = _dense_forcing(table, forcing)
     conv = table.conv(cfg.conv_method)
@@ -245,14 +253,16 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     for n in range(nsteps):
         t1 = t0 + (n + 1) * h
         (Em, fm), (E1, f1) = at(t + 0.5 * h), at(t1)
-        k1 = _rhs(_square(w, E, conv) if N is None else N, E, f)
-        w1 = ea * (w + 0.5 * h * k1)
-        k2 = _rhs(_square(w1, Em, conv), Em, fm)
-        w2 = ea * w + 0.5 * h * k2
-        k3 = _rhs(_square(w2, Em, conv), Em, fm)
-        w3 = eb * w + h * ea * k3
-        k4 = _rhs(_square(w3, E1, conv), E1, f1)
-        w = eb * w + (h / 6.0) * (eb * k1 + 2.0 * ea * (k2 + k3) + k4)
+        # an overflow in a stage leaves w non-finite, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = _rhs(_square(w, E, conv) if N is None else N, E, f)
+            w1 = ea * (w + 0.5 * h * k1)
+            k2 = _rhs(_square(w1, Em, conv), Em, fm)
+            w2 = ea * w + 0.5 * h * k2
+            k3 = _rhs(_square(w2, Em, conv), Em, fm)
+            w3 = eb * w + h * ea * k3
+            k4 = _rhs(_square(w3, E1, conv), E1, f1)
+            w = eb * w + (h / 6.0) * (eb * k1 + 2.0 * ea * (k2 + k3) + k4)
         if not np.isfinite(w).all():
             raise DivergenceError(
                 f"non-finite coefficients at step {n + 1} (t = {t1:g})")
@@ -300,7 +310,7 @@ def _budget_dense(table, w, E, cfg, f, conv, N):
 def energy_budget(state: SpectralState, forcing: ForcingSpec | None,
                   t: float, cfg: SolverConfig):
     """Term-by-term fast-energy budget; see :func:`_budget_dense`."""
-    table = mode_table(state.domain, state.kmax)
+    table = _table(state, cfg)
     w = state.array
     fdense = _dense_forcing(table, forcing)
     E, conv = table.phase(t, cfg.eps), table.conv(cfg.conv_method)

@@ -179,24 +179,19 @@ def _window_sups(samples):
 
 
 def _run_to_window(domain, kmax, eps, mu, forcing, transient, window,
-                   oversample, record_every=None):
-    """Integrate from rest; return (times, states) sampled in the window."""
+                   oversample):
+    """Integrate from rest; return the states sampled in the window."""
     dt = oscillation_dt(domain, kmax, eps, oversample)
     nt = int(math.ceil(transient / dt))
     nw = int(math.ceil(window / dt))
     total = nt + nw
-    cadence = record_every or max(1, nw // 200)
     cfg = SolverConfig(eps=eps, mu=mu, dt=dt, t_end=total * dt,
-                       kmax=kmax, record_every=cadence, conv_method="auto")
+                       kmax=kmax, record_every=max(1, nw // 200),
+                       conv_method="auto")
     state = SpectralState(domain, kmax, {})
     rec, final = integrate(state, cfg, forcing, keep_states=True)
     t0 = nt * dt
-    times, states = [], []
-    for t, st in zip(rec.times, rec.states):
-        if t >= t0 - 1e-12:
-            times.append(t)
-            states.append(st)
-    return times, states
+    return [st for t, st in zip(rec.times, rec.states) if t >= t0 - 1e-12]
 
 
 def balance_scan(eps_values, domain=None, kmax=DEFAULT_KMAX, mu=DEFAULT_MU,
@@ -214,8 +209,8 @@ def balance_scan(eps_values, domain=None, kmax=DEFAULT_KMAX, mu=DEFAULT_MU,
         config_echo=dict(kmax=kmax, mu=mu, transient=transient,
                          window=window, oversample=oversample))
     for eps in eps_values:
-        _, states = _run_to_window(domain, kmax, eps, mu, forcing,
-                                   transient, window, oversample)
+        states = _run_to_window(domain, kmax, eps, mu, forcing,
+                                transient, window, oversample)
         fast = [sobolev_norm(_fast_part(st)) for st in states]
         sup, s1, s2, converged = _window_sups(fast)
         report.rows.append(dict(eps=float(eps), sup_fast=sup,
@@ -229,8 +224,7 @@ def balance_scan(eps_values, domain=None, kmax=DEFAULT_KMAX, mu=DEFAULT_MU,
 
 def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
                   mu=DEFAULT_MU, forcing=None, transient=DEFAULT_TRANSIENT,
-                  window=None, oversample=DEFAULT_OVERSAMPLE,
-                  eta: float = 2.0) -> ScanReport:
+                  window=None, oversample=DEFAULT_OVERSAMPLE) -> ScanReport:
     """Time-averaged ||W_fast(t) - U^n(W_slow(t))|| per (eps, n).
 
     Requires steady forcing.  The n = 0 column is the plain fast energy;
@@ -247,30 +241,31 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
         n_values=list(n_values),
         columns=("eps", "n", "residual", "fast_norm", "tail", "kappa"),
         config_echo=dict(kmax=kmax, mu=mu, transient=transient,
-                         window=window, oversample=oversample, eta=eta))
+                         window=window, oversample=oversample))
     for eps in eps_values:
-        _, states = _run_to_window(domain, kmax, eps, mu, forcing,
-                                   transient, window, oversample)
+        states = _run_to_window(domain, kmax, eps, mu, forcing,
+                                transient, window, oversample)
         kappa, _, _ = kappa_delta(eps, kmax)
         fast_norms = [sobolev_norm(_fast_part(st)) for st in states]
         *_, converged = _window_sups(fast_norms)
         tails = [sobolev_norm(truncate(_fast_part(st), kappa)[1])
                  for st in states]
-        approxes = {n: ManifoldApprox(domain, kappa, eps, mu, forcing,
-                                      order=n, n_cap=max(n_values) + 1,
-                                      eta=eta)
-                    for n in n_values}
-        for n in n_values:
-            res = []
-            for st in states:
-                lo, _ = truncate(st, kappa)
-                U = approxes[n](lo)
+        approxes = [ManifoldApprox(domain, kappa, eps, mu, forcing, order=n,
+                                   n_cap=max(n_values) + 1)
+                    for n in n_values]
+        res = [[] for _ in n_values]
+        for st in states:
+            lo, _ = truncate(st, kappa)
+            # every order at one sample shares one context and its products
+            ctx = approxes[0]._ctx(lo) if approxes else None
+            for ap, out in zip(approxes, res):
                 # re-embed the graph output on the full lattice
-                Uf = st._with(U._on(st.index))
-                res.append(sobolev_norm(_fast_part(st) - Uf))
+                Uf = st._with(ap(lo, ctx)._on(st.index))
+                out.append(sobolev_norm(_fast_part(st) - Uf))
+        for n, r in zip(n_values, res):
             report.rows.append(dict(
                 eps=float(eps), n=int(n),
-                residual=float(np.mean(res)),
+                residual=float(np.mean(r)),
                 fast_norm=float(np.mean(fast_norms)),
                 tail=float(np.mean(tails)), kappa=float(kappa)))
             report.converged.append(converged)
@@ -325,9 +320,8 @@ def gevrey_tail_check(sigma: float, kappa_values, domain=None,
         report.rows.append(dict(kappa=float(kap), tail=tail, envelope=env,
                                 empirical_C=tail / env if env else math.inf))
         report.converged.append(True)
-    report.fit("kappa", "tail")
     # fit() works in log x; for the tail the natural fit is log tail vs
-    # kappa itself, so redo it linearly here
+    # kappa itself, so it is done linearly here
     pts = [(r["kappa"], r["tail"]) for r in report.rows if r["tail"] > 0]
     if len(pts) >= 2:
         ks = np.array([p[0] for p in pts])

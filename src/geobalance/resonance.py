@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,52 +143,61 @@ def casewise_bound(record: TriadRecord, theta0: float = DEFAULT_THETA0,
     raise AssertionError(case)
 
 
-def _scan_rows(table, jn, K):
-    """All triads with the j-mode fixed at table row jn, k over rows K.
+class _Row(NamedTuple):
+    """The triads of fast row jn with its closing fast rows K, as in
+    :class:`TriadRecord`: (m,) arrays K, L and weight, and (4, m) arrays
+    over the fast pairs (r, s) in ``FAST_PAIRS`` order."""
 
-    Returns a dict with the closing rows K and lrow (m,) and (4, m) arrays
-    over the fast pairs (r, s) in ``FAST_PAIRS`` order: the fields needed
-    by both the streaming enumeration and the audit reduction.  None when
-    no k closes a triad.
-    """
-    b = table.fast_fast_slow(jn, K)
-    m = len(b.K)
-    if m == 0:
-        return None
+    jn: int
+    K: np.ndarray
+    L: np.ndarray
+    omega_sum: np.ndarray
+    coeff_sum: np.ndarray  # includes |M|
+    res: np.ndarray  # exact resonance
+    theta: np.ndarray
+    case: np.ndarray
+    bound: np.ndarray
+    weight: np.ndarray
+    # |omega_sum| * weight, inf at exact resonance, so ratio = |coeff_sum| /
+    # scale; each caller takes its own |coeff_sum|, since numpy's complex
+    # abs and Python's can differ in the last bit
+    scale: np.ndarray
+
+
+def _rows(table, theta0):
+    """One _Row for each fast row of ``table`` that closes a triad, in row
+    order: the one computation behind :func:`enumerate_triads` and
+    :func:`audit`."""
     ints, kph, kabs = table.ints, table.kphys, table.kabs
-    pair = lambda a: np.broadcast_to(a, (4, m))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(b.wj == b.wk, np.inf, b.wsum / (b.wj - b.wk))
-    return dict(K=b.K, lrow=b.L, wsum=b.wsum,
-                csum=table.domain.volume * b.csum, res=b.res, theta=theta,
-                jp0=ints[jn][0] == 0 and ints[jn][1] == 0,
-                kp0=pair((ints[b.K][:, 0] == 0) & (ints[b.K][:, 1] == 0)),
-                lp0=pair((ints[b.L][:, 0] == 0) & (ints[b.L][:, 1] == 0)),
-                jabs=kabs[jn], kabs=pair(kabs[b.K]), labs=pair(kabs[b.L]),
-                j3=abs(kph[jn][2]), k3=pair(np.abs(kph[b.K][:, 2])))
-
-
-def _bounds_and_cases(d, theta0, vol):
-    """Vectorized case labels and bounds for one _scan_rows block."""
-    both0 = d["jp0"] & d["kp0"]
-    one0 = np.logical_xor(d["jp0"], d["kp0"])
-    # the first label whose condition holds wins
-    case = np.select([both0, d["res"], one0, d["lp0"]],
-                     ["a'", "b'", "c", "b"], "a")
-    wsa = np.abs(d["wsum"])
-    near = np.abs(d["theta"]) <= theta0
-    b_a = np.where(near,
-                   0.5 * vol * (4.0 + 6.0 / (1.0 - theta0 ** 2))
-                   * d["jabs"] * d["kabs"] / d["labs"] * wsa,
-                   2.0 * math.sqrt(5.0) * vol / theta0
-                   * (d["j3"] + d["k3"]) * wsa)
-    b_b = 0.5 * vol * (d["j3"] + d["k3"]) * wsa
-    z3 = np.where(d["jp0"], d["j3"], d["k3"])
-    b_c = vol * z3 / math.sqrt(2.0) * wsa
-    bound = np.where(case == "a", b_a,
-                     np.where(case == "b", b_b,
-                              np.where(case == "c", b_c, 0.0)))
-    return case, bound
+    vol = table.domain.volume
+    p0 = lambda rows: (ints[rows, 0] == 0) & (ints[rows, 1] == 0)  # k' = 0
+    J = np.nonzero(table.fast_ok)[0]
+    for jn in J:
+        b = table.fast_fast_slow(jn, J)
+        if len(b.K) == 0:
+            continue
+        jp0, kp0, lp0 = (p0(rows) for rows in (jn, b.K, b.L))
+        jabs, kabs_k, labs = kabs[jn], kabs[b.K], kabs[b.L]
+        j3, k3 = abs(kph[jn][2]), np.abs(kph[b.K][:, 2])
+        # the first label whose condition holds wins
+        case = np.select([jp0 & kp0, b.res, np.logical_xor(jp0, kp0), lp0],
+                         ["a'", "b'", "c", "b"], "a")
+        wsa = np.abs(b.wsum)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            theta = np.where(b.wj == b.wk, np.copysign(np.inf, b.wsum),
+                             b.wsum / (b.wj - b.wk))
+        b_a = np.where(np.abs(theta) <= theta0,
+                       0.5 * vol * (4.0 + 6.0 / (1.0 - theta0 ** 2))
+                       * jabs * kabs_k / labs * wsa,
+                       2.0 * math.sqrt(5.0) * vol / theta0 * (j3 + k3) * wsa)
+        b_b = 0.5 * vol * (j3 + k3) * wsa
+        b_c = vol * np.where(jp0, j3, k3) / math.sqrt(2.0) * wsa
+        bound = np.where(case == "a", b_a,
+                         np.where(case == "b", b_b,
+                                  np.where(case == "c", b_c, 0.0)))
+        weight = jabs * kabs_k / labs + j3 + k3
+        yield _Row(jn, b.K, b.L, b.wsum, vol * b.csum, b.res, theta, case,
+                   bound, weight, np.where(b.res, np.inf, wsa * weight))
 
 
 def enumerate_triads(domain: DomainSpec, kmax: float,
@@ -200,30 +210,21 @@ def enumerate_triads(domain: DomainSpec, kmax: float,
     if not kmax >= 1:
         return
     table = mode_table(domain, kmax)
-    J = np.nonzero(table.fast_ok)[0]
-    vol = domain.volume
-    for jn in J:
-        d = _scan_rows(table, jn, J)
-        if d is None:
-            continue
-        j = tuple(int(x) for x in table.ints[jn])
-        case, bnd = _bounds_and_cases(d, theta0, vol)
-        weight = d["jabs"] * d["kabs"] / d["labs"] + d["j3"] + d["k3"]
+    for t in _rows(table, theta0):
+        j = tuple(int(x) for x in table.ints[t.jn])
         # regroup per pair so output order is j, k, (r,s)
-        for m in range(len(d["K"])):
-            k = tuple(int(x) for x in table.ints[d["K"][m]])
-            l = tuple(int(x) for x in table.ints[d["lrow"][m]])
+        for m in range(len(t.K)):
+            k = tuple(int(x) for x in table.ints[t.K[m]])
+            l = tuple(int(x) for x in table.ints[t.L[m]])
             for q, (r, s) in enumerate(FAST_PAIRS):
-                csum = complex(d["csum"][q, m])
-                wsum = float(d["wsum"][q, m])
-                w = float(weight[q, m])
-                ratio = 0.0 if d["res"][q, m] else abs(csum) / (abs(wsum) * w)
+                csum = complex(t.coeff_sum[q, m])
                 yield TriadRecord(j=j, r=r, k=k, s=s, l=l,
-                                  omega_sum=wsum, coeff_sum=csum,
-                                  case=str(case[q, m]),
-                                  theta=float(d["theta"][q, m]),
-                                  bound=float(bnd[q, m]), ratio=ratio,
-                                  weight=w)
+                                  omega_sum=float(t.omega_sum[q, m]),
+                                  coeff_sum=csum, case=str(t.case[q, m]),
+                                  theta=float(t.theta[q, m]),
+                                  bound=float(t.bound[q, m]),
+                                  ratio=abs(csum) / float(t.scale[q, m]),
+                                  weight=float(t.weight[m]))
 
 
 @dataclass
@@ -286,7 +287,6 @@ def audit(domain: DomainSpec, kmax: float,
         raise ValueError(f"theta0 must lie in (0,1), got {theta0}")
     table = mode_table(domain, kmax)
     vol = domain.volume
-    J = np.nonzero(table.fast_ok)[0]
     n_triads = 0
     counts = {c: 0 for c in _CASES}
     max_ratio = -1.0
@@ -298,39 +298,31 @@ def audit(domain: DomainSpec, kmax: float,
     # tiny absolute slack: the majorants are exact-arithmetic inequalities,
     # evaluated here in floating point
     slack = 1e-9 * vol
-    for jn in J:
-        d = _scan_rows(table, jn, J)
-        if d is None:
-            continue
-        case, bnd = _bounds_and_cases(d, theta0, vol)
-        ac = np.abs(d["csum"])
-        res = d["res"]
+    for t in _rows(table, theta0):
+        ac = np.abs(t.coeff_sum)
+        res = t.res
         n_triads += ac.size
         for c in _CASES:
-            counts[c] += int((case == c).sum())
-        if res.any():
-            scale = vol * np.maximum(1.0, d["jabs"] * d["kabs"][res])
-            max_res = max(max_res, float((ac[res] / scale).max()))
+            counts[c] += int((t.case == c).sum())
+        jk = np.broadcast_to(table.kabs[t.jn] * table.kabs[t.K], res.shape)
+        max_res = max(max_res, float((ac[res] / (vol * np.maximum(
+            1.0, jk[res]))).max(initial=0.0)))
         nr = ~res
         if nr.any():
-            weight = (d["jabs"] * d["kabs"][nr] / d["labs"][nr]
-                      + d["j3"] + d["k3"][nr])
-            ratio = ac[nr] / (np.abs(d["wsum"][nr]) * weight)
-            near = np.abs(d["theta"][nr]) <= theta0
-            if near.any():
-                max_near = max(max_near, float(ratio[near].max()))
+            ratio = ac[nr] / t.scale[nr]
+            near = np.abs(t.theta[nr]) <= theta0
+            max_near = max(max_near, float(ratio[near].max(initial=0.0)))
             i = int(np.argmax(ratio))
             if ratio[i] > max_ratio:
                 max_ratio = float(ratio[i])
                 q, m = (ix[i] for ix in np.nonzero(nr))
                 r, s = FAST_PAIRS[q]
-                argmax = (tuple(int(x) for x in table.ints[jn]), r,
-                          tuple(int(x) for x in table.ints[d["K"][m]]), s)
-            excess = ac[nr] - bnd[nr]
+                argmax = (tuple(int(x) for x in table.ints[t.jn]), r,
+                          tuple(int(x) for x in table.ints[t.K[m]]), s)
+            excess = ac[nr] - t.bound[nr]
             bad = excess > slack
             n_viol += int(bad.sum())
-            if bad.any():
-                worst_viol = max(worst_viol, float(excess[bad].max()))
+            worst_viol = max(worst_viol, float(excess[bad].max(initial=0.0)))
     cube = domain.L1 == domain.L2 == domain.L3
     return AuditReport(kmax=float(kmax), theta0=theta0, n_triads=n_triads,
                        case_counts=counts, max_ratio=max_ratio,

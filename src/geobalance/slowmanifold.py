@@ -59,13 +59,15 @@ def kappa_delta(eps: float, kmax: float, n_max: int = 4, eta: float = 1.0):
 
 
 class _Ctx:
-    """Dense scratch bound to one (table, eps, mu, forcing, time)."""
+    """Dense scratch bound to one (table, eps, mu, forcing) at the time of
+    one state: its stamp in the rotated frame, 0 in the lab frame."""
 
-    def __init__(self, table: ModeTable, eps, mu, forcing: ForcingSpec, t):
+    def __init__(self, table: ModeTable, eps, mu, forcing: ForcingSpec,
+                 state: SpectralState):
         self.table = table
         self.eps = float(eps)
         self.mu = float(mu)
-        self.t = float(t)
+        self.t = float(state.t if state.frame == "rotated" else 0.0)
         self.E = table.phase(self.t, self.eps)  # rotated -> lab per mode
         # forcing is stored lab-frame; rotated coefficient = f_lab / E
         fd = forcing.amplitude(self.t) * forcing.coeffs._on(table.index) / self.E
@@ -108,12 +110,6 @@ class _Ctx:
                 out[i | j] += self.conv(ai, b[j])
         return out
 
-    def with_const(self, const, m):
-        """Lift a constant (3, nk) block to a width-m jet (component 0)."""
-        out = np.zeros((m,) + const.shape, dtype=complex)
-        out[0] = const
-        return out
-
 
 def _state(table: ModeTable, w: np.ndarray, frame, t) -> SpectralState:
     """Table-row coefficients as a state on the (domain, table.kmax) lattice."""
@@ -134,24 +130,33 @@ def _fast(j):
     return out
 
 
+def _step(ctx: _Ctx, n: int, J: np.ndarray):
+    """The order-n terms on a jet of slow states J: U^n, B(W+U^n, W+U^n)
+    and (DU^n) G^n, where G^n is the slow tendency on the graph."""
+    U = _eval_u(ctx, n, J)
+    WU = J + U
+    BWU = ctx.jet_B(WU, WU)
+    G = _tendency(ctx, J, BWU)
+    # extend the jet by one direction (top bit) carrying G, so the
+    # derivative block of the call is exactly (DU^n) G
+    DUG = _eval_u(ctx, n, np.concatenate([J, G], axis=0))[J.shape[0]:]
+    return U, BWU, DUG
+
+
+def _tendency(ctx: _Ctx, J: np.ndarray, BWU: np.ndarray) -> np.ndarray:
+    """G = -B_slow(W+U, W+U) - A W + f_slow on the jet J of W."""
+    G = -_slow(BWU) - ctx.diff * _slow(J)
+    G[0] += ctx.f_slow
+    return G
+
+
 def _eval_u(ctx: _Ctx, n: int, J: np.ndarray) -> np.ndarray:
     """Order-n manifold on a jet of slow states; returns a fast jet."""
     if n == 0:
         return np.zeros_like(J)
-    if n == 1:
-        rhs = ctx.with_const(ctx.f_fast, J.shape[0]) - _fast(ctx.jet_B(J, J))
-        return ctx.eps * ctx.linv_fast * rhs
-    Um = _eval_u(ctx, n - 1, J)
-    WU = J + Um
-    BWU = ctx.jet_B(WU, WU)
-    G = (-_slow(BWU) - ctx.diff * J
-         + ctx.with_const(ctx.f_slow, J.shape[0]))
-    # extend the jet by one direction (top bit) carrying G, so the
-    # derivative block of the recursive call is exactly (DU^{n-1}) G
-    Jx = np.concatenate([J, G], axis=0)
-    DUG = _eval_u(ctx, n - 1, Jx)[J.shape[0]:]
-    rhs = (-DUG - _fast(BWU) - ctx.diff * Um
-           + ctx.with_const(ctx.f_fast, J.shape[0]))
+    Um, BWU, DUG = _step(ctx, n - 1, J)
+    rhs = -DUG - _fast(BWU) - ctx.diff * Um
+    rhs[0] += ctx.f_fast
     return ctx.eps * ctx.linv_fast * rhs
 
 
@@ -172,14 +177,13 @@ class ManifoldApprox:
     order: int = 1
     n_cap: int = field(default=None)
     eta: float = 1.0
-    n_max: int = 4
 
     def __post_init__(self):
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
         if self.n_cap is None:
             _, _, cap = kappa_delta(min(self.eps, 1.0), self.kappa,
-                                    self.n_max, self.eta)
+                                    eta=self.eta)
             object.__setattr__(self, "n_cap", max(cap, 1))
         if self.order > self.n_cap:
             raise ValueError(
@@ -190,8 +194,7 @@ class ManifoldApprox:
         return mode_table(self.domain, self.kappa, strict=True)
 
     def _ctx(self, state: SpectralState) -> _Ctx:
-        t = state.t if state.frame == "rotated" else 0.0
-        return _Ctx(self.table, self.eps, self.mu, self.forcing, t)
+        return _Ctx(self.table, self.eps, self.mu, self.forcing, state)
 
     def __call__(self, state: SpectralState, ctx: _Ctx | None = None
                  ) -> SpectralState:
@@ -237,12 +240,11 @@ def g_of(W0: SpectralState, U: SpectralState, forcing: ForcingSpec,
     if kappa is None:
         kappa = W0.kmax * (1 + 1e-9)
     table = mode_table(W0.domain, kappa, strict=True)
-    ctx = _Ctx(table, eps, mu, forcing,
-               W0.t if W0.frame == "rotated" else 0.0)
-    w0 = W0._on(table.index)
-    w = w0 + U._on(table.index)
-    out = -_slow(ctx.conv(w, w)) - ctx.diff * _slow(w0) + ctx.f_slow
-    return _state(table, out, W0.frame, W0.t)
+    ctx = _Ctx(table, eps, mu, forcing, W0)
+    J = W0._on(table.index)[None]
+    WU = J + U._on(table.index)
+    return _state(table, _tendency(ctx, J, ctx.jet_B(WU, WU))[0], W0.frame,
+                  W0.t)
 
 
 def iterate(approx: ManifoldApprox) -> ManifoldApprox:
@@ -258,18 +260,15 @@ def remainder_direct(approx: ManifoldApprox, state: SpectralState
                      ) -> SpectralState:
     """R^n = (DU^n) G^n + (1/eps) L U^n + B_fast(W+U^n, W+U^n)
     + A U^n - f_fast, all on the truncated lattice."""
-    ctx = approx._ctx(state)
-    table = approx.table
-    J = _slow(state._on(table.index))[None]
-    Um = _eval_u(ctx, approx.order, J)
-    WU = J + Um
-    BWU = ctx.jet_B(WU, WU)
-    G = -_slow(BWU) - ctx.diff * J + ctx.with_const(ctx.f_slow, 1)
-    Jx = np.concatenate([J, G], axis=0)
-    DUG = _eval_u(ctx, approx.order, Jx)[1:]
-    iw_over_eps = (1j * table.omega) / approx.eps
-    R = (DUG[0] + iw_over_eps * Um[0] + _fast(BWU)[0]
-         + ctx.diff * Um[0] - ctx.f_fast)
+    return _remainder(approx._ctx(state), approx.order, state)
+
+
+def _remainder(ctx: _Ctx, n: int, state: SpectralState) -> SpectralState:
+    """R^n at ``state``, in its context ``ctx``."""
+    table = ctx.table
+    U, BWU, DUG = _step(ctx, n, _slow(state._on(table.index))[None])
+    R = (DUG[0] + (1j * table.omega) / ctx.eps * U[0] + _fast(BWU)[0]
+         + ctx.diff * U[0] - ctx.f_fast)
     return _state(table, R, state.frame, state.t)
 
 
@@ -296,14 +295,14 @@ def contraction_scan(state: SpectralState, forcing: ForcingSpec, mu: float,
     Returns (rows, eps_threshold): rows of (eps, [norms]), and the largest
     eps in the list for which the norms decrease strictly (None if none).
     """
+    table = mode_table(state.domain, kappa, strict=True)
     rows = []
     thresh = None
     for eps in sorted(eps_list):
-        norms = []
-        for n in range(n_hi + 1):
-            ap = ManifoldApprox(state.domain, kappa, eps, mu, forcing,
-                                order=n, n_cap=n_hi + 1)
-            norms.append(sobolev_norm(remainder_direct(ap, state)))
+        # one context per eps: each order reuses the lower orders' products
+        ctx = _Ctx(table, eps, mu, forcing, state)
+        norms = [sobolev_norm(_remainder(ctx, n, state))
+                 for n in range(n_hi + 1)]
         rows.append((eps, norms))
         if all(b < a for a, b in zip(norms, norms[1:])):
             thresh = eps

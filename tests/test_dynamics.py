@@ -81,6 +81,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="rotated"):
             tendency(lab, 0.0, cfg)
 
+    def test_kmax_must_match_the_state(self):
+        s = random_state(DOM, 2.0, 9)
+        cfg = SolverConfig(eps=0.1, mu=0.1, dt=0.1, t_end=0.2, kmax=3.0)
+        for run in (lambda: integrate(s, cfg), lambda: tendency(s, 0.0, cfg),
+                    lambda: energy_budget(s, None, 0.0, cfg)):
+            with pytest.raises(ValueError, match=r"kmax = 3\.0 .* 2\.0"):
+                run()
+
 
 class TestApplyA:
     def test_diagonal_weight(self):

@@ -111,6 +111,23 @@ class TestAudit:
         recs = list(enumerate_triads(DOM, 2.0, 0.5))
         assert len(recs) == brute
 
+    def test_enumeration_matches_scalar_records(self):
+        """Every vectorized record equals the scalar path's: case and theta
+        exactly (theta = +-inf on omega_j = omega_k, with the sign of the
+        omega sum), the floats to 1e-12 relative."""
+        n = 0
+        for rec in enumerate_triads(DOM, 2.5, 0.5):
+            ref = triad_record(DOM, rec.j, rec.r, rec.k, rec.s, 0.5)
+            assert (rec.l, rec.case, rec.theta) == (ref.l, ref.case,
+                                                    ref.theta), rec
+            for a, b in ((rec.omega_sum, ref.omega_sum),
+                         (abs(rec.coeff_sum), abs(ref.coeff_sum)),
+                         (rec.bound, ref.bound), (rec.ratio, ref.ratio),
+                         (rec.weight, ref.weight)):
+                assert abs(a - b) <= 1e-12 * abs(b), rec
+            n += 1
+        assert n == 5880
+
     def test_summary_text(self):
         rep = audit(DOM, 3.0, 0.5)
         text = rep.summary()

@@ -8,6 +8,7 @@ import pytest
 
 from geobalance._engine import ModeTable
 from geobalance.dynamics import ForcingSpec, apply_A
+from geobalance.experiments import manifold_scan
 from geobalance.interactions import apply_B_fast, apply_B_slow
 from geobalance.lattice import (DomainSpec, SpectralState, enforce_reality,
                                 random_state, sobolev_norm)
@@ -286,6 +287,28 @@ class TestProductsOncePerCall:
         calls.clear()
         ap[3](W)
         assert len(calls) == 21
+
+    def test_scans_share_one_context(self, monkeypatch):
+        W, ap, _ = self._setup()
+        calls = []
+        product = _Ctx._product
+
+        def counted(self, a, b):
+            calls.append(1)
+            return product(self, a, b)
+
+        monkeypatch.setattr(_Ctx, "_product", counted)
+        # R^0..R^3 alone make 1, 4, 13 and 40; R^3 repeats all the others
+        contraction_scan(W, ap[0].forcing, 0.3, [0.1, 0.05], KAPPA, n_hi=3)
+        assert len(calls) == 2 * 40
+        # all orders at a sample of the scan cost what U^3 alone does
+        counts = []
+        for n_values in ([3], [0, 1, 2, 3]):
+            calls.clear()
+            manifold_scan([0.1], n_values, kmax=2.0, transient=0.5,
+                          window=0.5)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_memo_is_bit_exact(self, monkeypatch):
         W, ap, d = self._setup()
