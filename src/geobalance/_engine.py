@@ -28,12 +28,19 @@ Two interchangeable convolution kernels are provided:
 * ``conv_grid``: pseudospectral product on a padded FFT grid, alias-free
   because the per-axis grid size is at least 3*lmax+1 (the fast path, and
   an independent physical-space oracle for the direct path).  The lab
-  fields of reality-constrained states are real, so it scatters only the
-  l3 >= 0 half-spectrum, uses real-to-complex transforms one field at a
-  time, and fills the l3 < 0 output rows by conjugation.  A lab field
-  whose anti-Hermitian part exceeds ``REAL_TOL`` times its largest
-  coefficient is split into two real fields, f = h1 + i h2, and the real
-  product runs on each pair of parts, so non-real inputs stay exact.
+  fields of reality-constrained states are real, so each complex
+  transform carries two of them: f_a + i f_b goes to the grid in one
+  inverse transform, and two real products p + i q come back in one
+  forward transform, split by P = (G + conj G(-l)) / 2 and
+  Q = (G - conj G(-l)) / 2i.  When both operands are the same array, as
+  in every step of the march, the product is taken in divergence form,
+  i l . (u F)_l, exact because k . u_k = 0 for every advection vector:
+  u and F share u1 and u2, so the four fields u1, u2, u3, rho and their
+  eight distinct products take 2 + 4 complex transforms, against 6 + 2
+  for distinct operands.  A lab field whose anti-Hermitian part exceeds
+  ``REAL_TOL`` times its largest coefficient takes the advective form
+  instead, split into two real fields, f = h1 + i h2, with the real
+  product run on each pair of parts, so non-real inputs stay exact.
 
 :meth:`ModeTable.conv` is the one dispatch point between them.  It accepts
 the methods in ``CONV_METHODS``: ``"direct"``, ``"grid"``, or ``"auto"``,
@@ -53,11 +60,12 @@ from .lattice import (A2I, I2A, DomainSpec, SpectralState, _frequencies,
 from .modes import _frames
 
 CONV_METHODS = ("auto", "direct", "grid")
-# "auto" crossover, best of 50 calls in fresh processes on the 2 pi cube
-# (2-vCPU Xeon, numpy 2.4), grid / direct: 0.46 / 0.08 ms at nk 92,
-# 0.59 / 0.38 ms at nk 146, 0.61 / 0.58 ms at nk 178 (kmax 3.5), 0.64 /
-# 0.78 ms at nk 202 and 0.85 / 1.24 ms at nk 256
-AUTO_DIRECT_MAX_NK = 178
+# "auto" crossover, best of 50 calls on distinct operands in fresh
+# processes on the 2 pi cube (2-vCPU Xeon, numpy 2.4), median of three,
+# grid / direct: 0.37 / 0.26 ms at nk 122, 0.37 / 0.37 ms at nk 146
+# (kmax 3.2), 0.41 / 0.61 ms at nk 170, 0.40 / 0.66 ms at nk 178, 0.40 /
+# 0.87 ms at nk 202 and 0.64 / 1.42 ms at nk 256
+AUTO_DIRECT_MAX_NK = 146
 # conv_grid treats a lab field as real when its anti-Hermitian part is at
 # most this times its largest coefficient (roundoff on constrained states)
 REAL_TOL = 1e-13
@@ -250,57 +258,101 @@ class ModeTable:
     def _grid_setup(self):
         lmax = np.abs(self.ints).max(axis=0)
         dims = tuple(_next_fast_len(3 * int(m) + 1) for m in lmax)
-        half = self.ints[:, 2] >= 0
-        idx = tuple(np.mod(self.ints[half, d], dims[d]) for d in range(3))
+        flat = np.ravel_multi_index(tuple(self.ints.T), dims, mode="wrap")
         mirror = self.index.rows_of(-self.ints)
-        self._grid = (dims, half, idx, mirror)
+        self._grid = (dims, flat, flat[mirror], mirror)
+
+    def _to_grid(self, a, b):
+        """The complex grid field f_a + i f_b of two real fields, given by
+        their (nk,) Hermitian coefficients."""
+        dims, flat, _, _ = self._grid
+        g = np.zeros(dims, dtype=complex)
+        g.reshape(-1)[flat] = a + 1j * b
+        return np.fft.ifftn(g, norm="forward", out=g)
+
+    def _from_grid(self, g):
+        """The coefficients P, Q of the real fields p, q in g = p + i q:
+        P = (G + conj G[mirror]) / 2 and Q = (G - conj G[mirror]) / 2i.
+        Transforms g in place."""
+        _, flat, flat_m, _ = self._grid
+        G = np.fft.fftn(g, norm="forward", out=g).reshape(-1)
+        Gl, Gm = G[flat], np.conj(G[flat_m])
+        return 0.5 * (Gl + Gm), -0.5j * (Gl - Gm)
 
     def _real_product(self, u: np.ndarray, F: np.ndarray) -> np.ndarray:
         """Coefficients of u . grad F for real fields u and F, each given
-        by its (3, nk) Hermitian coefficients, of which only the l3 >= 0
-        rows are read."""
-        dims, half, idx, mirror = self._grid
-        spec = np.zeros(dims[:2] + (dims[2] // 2 + 1,), dtype=complex)
+        by its (3, nk) Hermitian coefficients: 12 real fields in 6 complex
+        transforms, 3 real products in 2."""
+        ik = 1j * self.kphys.T
+        coef = [*u, *(k * Fc for Fc in F for k in ik)]
+        grids = [self._to_grid(a, b) for a, b in zip(coef[::2], coef[1::2])]
+        f = [x for g in grids for x in (g.real, g.imag)]
+        out = [np.zeros_like(grids[0]) for _ in range(2)]
+        tmp = np.empty_like(f[0])
+        for c, acc in enumerate((out[0].real, out[0].imag, out[1].real)):
+            for d in range(3):  # u_d d_d F_c
+                acc += np.multiply(f[d], f[3 + 3 * c + d], out=tmp)
+        (p0, p1), (p2, _) = (self._from_grid(g) for g in out)
+        return np.array([p0, p1, p2])
 
-        def to_grid(coef):
-            spec[idx] = coef
-            return np.fft.irfftn(spec, s=dims, axes=(0, 1, 2),
-                                  norm="forward")
+    def _real_square(self, f: np.ndarray) -> np.ndarray:
+        """Coefficients of u . grad F for F = (u1, u2, rho) and the real
+        fields f = (u1, u2, u3, rho), in divergence form: i l_d (u_d F_c),
+        exact because k . u_k = 0 for every advection vector.  The 8
+        distinct products of 4 real fields take 2 + 4 complex transforms."""
+        g12, g3r = self._to_grid(f[0], f[1]), self._to_grid(f[2], f[3])
+        u1, u2, u3, r = g12.real, g12.imag, g3r.real, g3r.imag
+        buf = np.empty_like(g12)
+        prods = []
+        for (p, q), (s, t) in (((u1, u1), (u1, u2)), ((u1, r), (u2, u2)),
+                               ((u2, r), (u3, u1)), ((u3, u2), (u3, r))):
+            np.multiply(p, q, out=buf.real)
+            np.multiply(s, t, out=buf.imag)
+            prods += self._from_grid(buf)
+        p11, p12, p1r, p22, p2r, p31, p32, p3r = prods
+        k1, k2, k3 = self.kphys.T
+        return 1j * np.array([k1 * p11 + k2 * p12 + k3 * p31,
+                              k1 * p12 + k2 * p22 + k3 * p32,
+                              k1 * p1r + k2 * p2r + k3 * p3r])
 
-        ik = 1j * self.kphys[half]
-        ugrid = [to_grid(ud) for ud in u[:, half]]
-        adv = np.empty((3, self.nk), dtype=complex)
-        for c, Fc in enumerate(F[:, half]):
-            acc = ugrid[0] * to_grid(ik[:, 0] * Fc)
-            for d in (1, 2):
-                acc += ugrid[d] * to_grid(ik[:, d] * Fc)
-            adv[c, half] = np.fft.rfftn(acc, norm="forward")[idx]
-        adv[:, ~half] = np.conj(adv[:, mirror[~half]])
-        return adv
+    def _is_real(self, f: np.ndarray) -> bool:
+        """Whether the anti-Hermitian part of the (m, nk) lab fields f is
+        at most ``REAL_TOL`` of their largest coefficient."""
+        mirror = self._grid[3]
+        return (np.abs(f - np.conj(f[:, mirror])).max()
+                <= 2 * REAL_TOL * np.abs(f).max())
 
     def _real_parts(self, f: np.ndarray):
         """(factor, Hermitian part) pairs summing to the (3, nk) lab field
-        f: f itself when its anti-Hermitian part is at most
-        ``REAL_TOL`` of its largest coefficient, else f = h1 + i h2."""
-        _, _, _, mirror = self._grid
-        fm = np.conj(f[:, mirror])
-        if np.abs(f - fm).max() <= 2 * REAL_TOL * np.abs(f).max():
+        f: f itself when it is real (``_is_real``), else f = h1 + i h2."""
+        if self._is_real(f):
             return ((1, f),)
+        fm = np.conj(f[:, self._grid[3]])
         return ((1, 0.5 * (f + fm)), (1j, -0.5j * (f - fm)))
 
     def conv_grid(self, w: np.ndarray, what: np.ndarray) -> np.ndarray:
         """Same convolution via physical-space products on a padded grid.
 
         Reconstructs the advecting velocity u from w and the advected
-        3-component field F from what, forms u . grad(F) pointwise with
-        real-to-complex transforms, and projects back onto the eigenframe.
-        Inputs whose lab fields are not real are split into real parts,
-        and the product is summed over them (it is bilinear).
+        3-component field F from what, forms u . grad(F) pointwise, and
+        projects back onto the eigenframe.  A self-product (``w is what``,
+        so F shares u1 and u2) of real lab fields is taken in divergence
+        form.  Otherwise, or when the lab fields are not real, inputs are
+        split into real parts and the product is summed over them (it is
+        bilinear).
         """
         if self._grid is None:
             self._grid_setup()
         u = np.einsum("an,anc->cn", w, self.VX)
-        F = np.einsum("an,anc->cn", what, self.X)
+        if w is what:
+            f = np.concatenate((u, np.einsum("an,an->n", what,
+                                             self.X[..., 2])[None]))
+            if self._is_real(f):
+                adv = self._real_square(f)
+                return np.einsum("cn,anc->an", adv, np.conj(self.X))
+            F = f[[0, 1, 3]]
+        else:
+            F = np.einsum("an,anc->cn", what, self.X)
         Fparts = self._real_parts(F)
         adv = sum(a * b * self._real_product(up, Fp)
                   for a, up in self._real_parts(u) for b, Fp in Fparts)

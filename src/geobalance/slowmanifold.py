@@ -24,6 +24,7 @@ rotated frame; phases are taken at the evaluation state's own time stamp.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -66,6 +67,8 @@ class _Ctx:
                  state: SpectralState):
         self.table = table
         self.eps = float(eps)
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and > 0, got {eps!r}")
         self.mu = float(mu)
         self.t = float(state.t if state.frame == "rotated" else 0.0)
         self.E = table.phase(self.t, self.eps)  # rotated -> lab per mode

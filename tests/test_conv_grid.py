@@ -1,7 +1,8 @@
 """The direct kernel's pair sum against a per-triple sum built from the
 coefficients, the bound on its pair table, and the real-field grid product
-against the direct sum, on the cube and on an anisotropic box, for real and
-for non-real lab fields."""
+(advective form, and divergence form for a self-product) against the direct
+sum, on the cube and on an anisotropic box, for real and for non-real lab
+fields."""
 
 import functools
 import math
@@ -19,7 +20,7 @@ from geobalance.lattice import DomainSpec, SpectralState, enforce_reality
 
 DOM = DomainSpec()
 BOX = DomainSpec(2.0 * math.pi, 4.0, 3.0)
-# kmax 4 on the cube gives 15 grid points per axis: an odd irfftn length
+# kmax 4 on the cube gives 15 grid points per axis: an odd transform length
 CASES = [(DOM, 2.5), (DOM, 4.0), (BOX, 2.5)]
 
 
@@ -174,3 +175,69 @@ def test_planted_anti_hermitian_part_is_kept():
     tol = 1e-13 * _largest_term(table, w, what)
     assert np.abs(dropped - d).max() > 3 * tol  # the part matters
     assert np.abs(table.conv_grid(w, what) - d).max() <= tol
+
+
+@given(case=st.sampled_from(CASES), seed=st.integers(0, 2 ** 32 - 1),
+       constrained=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_self_product_equals_direct(case, seed, constrained):
+    """The same array twice: divergence form when the lab fields are real,
+    the advective split otherwise."""
+    table = mode_table(*case)
+    c = _random(table, np.random.default_rng(seed), constrained)
+    d = table.conv_direct(c, c)
+    g = table.conv_grid(c, c)
+    assert np.abs(g - d).max() <= 1e-13 * _largest_term(table, c, c)
+
+
+@given(case=st.sampled_from(CASES), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_divergence_form_equals_advective_form(case, seed):
+    table = mode_table(*case)
+    c = _random(table, np.random.default_rng(seed), True)
+    div = table.conv_grid(c, c)
+    adv = table.conv_grid(c, c.copy())
+    assert np.abs(div - adv).max() <= 1e-13 * _largest_term(table, c, c)
+
+
+def test_planted_anti_hermitian_self_product_is_kept():
+    """A self-product whose lab fields have an anti-Hermitian part just
+    above ``REAL_TOL``: the divergence form, which assumes real fields,
+    must give way to the exact split."""
+    table = mode_table(DOM, 4.0)
+    rng = np.random.default_rng(8)
+    real = _random(table, rng, True)
+    spread = _random(table, rng, True)
+    amp = (3 * REAL_TOL * np.abs(_lab_field(table, real)).max()
+           / np.abs(_lab_field(table, spread)).max())
+    c = real + 1j * amp * spread
+    d = table.conv_direct(c, c)
+    tol = 1e-13 * _largest_term(table, c, c)
+    assert np.abs(table.conv_grid(real, real) - d).max() > 3 * tol
+    assert np.abs(table.conv_grid(c, c) - d).max() <= tol
+
+
+def _count_transforms(monkeypatch):
+    calls = {"fftn": 0, "ifftn": 0, "rfftn": 0, "irfftn": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(np.fft, name), _name=name, **kw):
+            calls[_name] += 1
+            return _f(*args, **kw)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+def test_constrained_self_product_takes_six_transforms(monkeypatch):
+    """Two real fields per complex transform: u1, u2, u3 and rho in 2
+    inverse transforms, the 8 distinct products u_d F_c in 4 forward."""
+    table = mode_table(DOM, 4.0)
+    c = _random(table, np.random.default_rng(9), True)
+    table.conv_grid(c, c)  # grid set-up
+    calls = _count_transforms(monkeypatch)
+    products = _count_products(monkeypatch)
+    table.conv_grid(c, c)
+    assert calls == {"fftn": 4, "ifftn": 2, "rfftn": 0, "irfftn": 0}
+    assert not products
+    table.conv_grid(c, c.copy())
+    assert len(products) == 1
+    assert calls == {"fftn": 6, "ifftn": 8, "rfftn": 0, "irfftn": 0}

@@ -254,6 +254,24 @@ class TestContraction:
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
 
+class TestEpsValidation:
+    """Every evaluator builds its context through ``_Ctx``, which refuses
+    an eps that is not finite and positive, naming the value."""
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, math.nan])
+    def test_contraction_scan(self, eps):
+        W = _slow_state(28)
+        with pytest.raises(ValueError, match=f"eps must be .* got {eps!r}"):
+            contraction_scan(W, _forcing(29), 0.3, [eps], 2.0, n_hi=1)
+
+    @pytest.mark.parametrize("eps", [-0.1, 0.0, math.nan])
+    def test_manifold_approx(self, eps):
+        ap = ManifoldApprox(DOM, KAPPA, eps, 0.3, _forcing(30), order=1,
+                            n_cap=2)
+        with pytest.raises(ValueError, match=f"eps must be .* got {eps!r}"):
+            ap(_slow_state(31))
+
+
 class TestProductsOncePerCall:
     """Each public call computes every distinct product once: the orders
     of the recursion repeat their lower orders' products bit for bit."""
