@@ -9,11 +9,14 @@ slot arrays that a :class:`~geobalance.lattice.SpectralState` stores (row
 wavevector order); fast slots at l3 = 0 are structurally zero.
 :func:`mode_table` keeps the ``TABLE_CACHE_SIZE`` most recently used.
 
-The table is the one triad engine: :meth:`ModeTable.closing_rows` finds
+The table is the one triad engine: :meth:`ModeTable.closing_pairs` finds
 the triads j + k = l inside the table, :meth:`ModeTable.coeff` holds the
 factorized coefficient i (VX_j^a . k)(X_k^b . conj X_l^g), and
-:meth:`ModeTable.fast_fast_slow` builds the fast-fast -> slow block that
-the resonance audit and the frequency-weighted operator share.
+:meth:`ModeTable.fast_fast_slow` builds the fast-fast -> slow block of
+many j rows at once.  :meth:`ModeTable.fast_fast_slow_blocks` walks the
+rows in blocks of about ``TRIAD_BLOCK`` candidate pairs, whole rows
+each; the resonance audit, its CSV scan and the frequency-weighted
+operator all take their triads from it.
 
 Two interchangeable convolution kernels are provided:
 
@@ -80,11 +83,22 @@ PAIR_BYTES = 80
 # bound also keeps j * nk + k within int32
 DIRECT_MAX_BYTES = 2 ** 29
 
+# candidate (j, k) pairs per block of ModeTable.fast_fast_slow_blocks, in
+# whole j rows (at least one).  It sets memory and speed, not values: one
+# whole-table block gives the same bits at kmax 4 and 5.  At 2,048 the
+# audit and scan peak within 1.5% of one-row blocks' memory (which ran
+# 1.9x as long); blocks of 1,024 ran 15% longer than these.
+TRIAD_BLOCK = 2048
+
 # fast branch pairs (r, s) in canonical order; the rows of r and of s and
 # the sign products r s, each shaped (4, 1)
 FAST_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 R_ROWS, S_ROWS = (np.array([[A2I[p[i]]] for p in FAST_PAIRS]) for i in (0, 1))
 _RS = np.array([[r * s] for r, s in FAST_PAIRS])
+# the fast rows of r along a first axis and of s along a second: a
+# (2, 2, m) array over them reshapes to (4, m) in FAST_PAIRS order
+_R2, _S2 = (np.array([1, 2]).reshape(shape) for shape in ((2, 1, 1),
+                                                          (1, 2, 1)))
 # every (a, b, g) branch-row combination, shaped (3,1,1,1), (1,3,1,1), ...
 _A3, _B3, _G3 = np.ix_(range(3), range(3), range(3), [0])[:3]
 
@@ -114,11 +128,13 @@ class Pairs(NamedTuple):
 
 
 class FastFastSlow(NamedTuple):
-    """The fast-fast -> slow triads of one table row j."""
+    """The fast-fast -> slow triads of a block of table rows j: one column
+    per closing pair (j, k), in (j, k) order."""
 
-    K: np.ndarray     # rows k closing a triad, (m,)
+    J: np.ndarray     # rows j, (m,)
+    K: np.ndarray     # rows k closing a triad with j, (m,)
     L: np.ndarray     # rows of l = j + k, (m,)
-    wj: np.ndarray    # omega_j^r, (4, 1)
+    wj: np.ndarray    # omega_j^r, (4, m)
     wk: np.ndarray    # omega_k^s, (4, m)
     wsum: np.ndarray  # omega_j^r + omega_k^s, (4, m)
     csum: np.ndarray  # symmetrized coefficient, |M| excluded, (4, m)
@@ -150,12 +166,17 @@ class ModeTable:
         return np.exp(-1j * self.omega * (t / eps))
 
     # -- the triad engine --------------------------------------------------
+    def closing_pairs(self, J: np.ndarray, K: np.ndarray):
+        """The candidate pairs (J[i], K[i]) whose sum j + k lies inside the
+        table, and the rows L of those sums."""
+        L = self.index.rows_of(self.ints[J] + self.ints[K])
+        ok = L >= 0
+        return J[ok], K[ok], L[ok]
+
     def closing_rows(self, jn: int, K: np.ndarray):
         """Rows k of K with j + k inside the table (j = row jn), and the
         rows of those sums l = j + k."""
-        L = self.index.rows_of(self.ints[jn][None, :] + self.ints[K])
-        ok = L >= 0
-        return K[ok], L[ok]
+        return self.closing_pairs(np.full(len(K), jn), K)[1:]
 
     def coeff(self, a, J, b, K, g, L) -> np.ndarray:
         """Triad coefficients i (VX_j^a . k)(X_k^b . conj X_l^g), |M| excluded.
@@ -167,34 +188,43 @@ class ModeTable:
         return adv * np.einsum("...c,...c->...", self.X[b, K],
                                np.conj(self.X[g, L]))
 
-    def fast_fast_slow(self, jn: int, K: np.ndarray) -> FastFastSlow:
-        """Fast-fast -> slow triads of row jn with the closing rows of K.
+    def fast_fast_slow(self, J: np.ndarray, K: np.ndarray) -> FastFastSlow:
+        """Fast-fast -> slow triads of the rows J with the closing rows of K.
 
-        Arrays over the fast pairs are (4, m), in ``FAST_PAIRS`` order; the
+        Arrays over the fast pairs are (4, m), in ``FAST_PAIRS`` order, and
+        their columns are the closing pairs in (j, k) order; the
         symmetrized |M|-free coefficient is coeff[r,s,0; j,k,l] +
         coeff[s,r,0; k,j,l], and exact resonance is decided in integers on
         cube lattices, like :func:`exact_resonance`.
         """
-        K, L = self.closing_rows(jn, K)
-        wj = self.omega[R_ROWS, jn]
+        J, K, L = self.closing_pairs(np.repeat(J, len(K)), np.tile(K, len(J)))
+        wj = self.omega[R_ROWS, J]
         wk = self.omega[S_ROWS, K]
         wsum = wj + wk
-        csum = (self.coeff(R_ROWS, jn, S_ROWS, K, 0, L)
-                + self.coeff(S_ROWS, K, R_ROWS, jn, 0, L))
+        csum = (self.coeff(_R2, J, _S2, K, 0, L)
+                + self.coeff(_S2, K, _R2, J, 0, L)).reshape(4, -1)
         d = self.domain
         if d.L1 == d.L2 == d.L3:
-            j, k = self.ints[jn], self.ints[K]
-            jp0 = j[0] == 0 and j[1] == 0
+            j, k = self.ints[J], self.ints[K]
+            jp0 = (j[:, 0] == 0) & (j[:, 1] == 0)
             kp0 = (k[:, 0] == 0) & (k[:, 1] == 0)
-            cone = ((j ** 2).sum() * k[:, 2] ** 2
-                    == (k ** 2).sum(axis=1) * j[2] ** 2)
+            cone = ((j ** 2).sum(axis=1) * k[:, 2] ** 2
+                    == (k ** 2).sum(axis=1) * j[:, 2] ** 2)
             # omega^r = r |k|/k3 off the vertical axis, r on it
-            opposite = _RS * np.sign(j[2]) * np.sign(k[:, 2]) == -1
+            opposite = _RS * np.sign(j[:, 2]) * np.sign(k[:, 2]) == -1
             res = np.where(jp0 & kp0, _RS == -1,
                            ~(jp0 | kp0) & cone & opposite)
         else:
             res = np.abs(wsum) <= 1e-12 * np.maximum(np.abs(wj), np.abs(wk))
-        return FastFastSlow(K, L, wj, wk, wsum, csum, res)
+        return FastFastSlow(J, K, L, wj, wk, wsum, csum, res)
+
+    def fast_fast_slow_blocks(self, J: np.ndarray, K: np.ndarray):
+        """:meth:`fast_fast_slow` of the rows J with K, one block of whole
+        rows of J at a time, each of about ``TRIAD_BLOCK`` candidate pairs
+        (at least one row); the blocks follow the order of J."""
+        step = max(1, TRIAD_BLOCK // max(len(K), 1))
+        for i in range(0, len(J), step):
+            yield self.fast_fast_slow(J[i:i + step], K)
 
     # -- direct triad table ------------------------------------------------
     def pairs(self) -> Pairs:

@@ -26,8 +26,8 @@ from .experiments import (DEFAULT_KMAX, DEFAULT_MU, DEFAULT_OVERSAMPLE,
                           DEFAULT_SEED, DEFAULT_TRANSIENT, balance_scan,
                           default_forcing, manifold_scan, oscillation_dt,
                           toy_model)
-from .lattice import (DomainSpec, SpectralState, check_reality, random_state,
-                      sobolev_norm)
+from .lattice import (FRAMES, DomainSpec, SpectralState, check_reality,
+                      random_state, sobolev_norm)
 from .resonance import audit, scan_csv
 
 ENV_PREFIX = "GEOBALANCE_"
@@ -152,7 +152,7 @@ def _validate(cfg: RunConfig):
         v.append("eps_grid entries must be > 0")
     if any(n < 0 for n in cfg.n_grid):
         v.append("n_grid entries must be >= 0")
-    if any(not float(n).is_integer() for n in cfg.n_grid):
+    if any(isinstance(n, float) and not n.is_integer() for n in cfg.n_grid):
         v.append("n_grid entries must be integers")
     if not (cfg.toy_dt > 0 and cfg.toy_T > 0):
         v.append("toy_dt and toy_T must be > 0")
@@ -219,9 +219,15 @@ class SnapshotError(ValueError):
 
 
 def read_snapshot(path) -> SpectralState:
+    """The state in a file of :func:`write_snapshot`; ``SnapshotError``
+    with a byte offset for any file that is not one."""
     with open(path, "rb") as fh:
         data = fh.read()
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"not UTF-8 text ({exc.reason})",
+                            exc.start) from None
     offset = 0
     lines = []
     for ln in text.split("\n"):
@@ -238,7 +244,7 @@ def read_snapshot(path) -> SpectralState:
     parts = head.split()
     if len(parts) != 2 or parts[0] != "geobalance-snapshot":
         raise SnapshotError("not a geobalance snapshot", off)
-    if int(parts[1]) != SNAPSHOT_VERSION:
+    if parts[1] != str(SNAPSHOT_VERSION):
         raise SnapshotError(
             f"incompatible snapshot version {parts[1]} "
             f"(supported: {SNAPSHOT_VERSION})", off)
@@ -249,15 +255,31 @@ def read_snapshot(path) -> SpectralState:
         key, _, rest = ln.partition(" ")
         if key != name:
             raise SnapshotError(f"expected {name!r} line, got {key!r}", off)
-        fieldsv[name] = rest.strip()
+        fieldsv[name] = off, rest.strip()
+
+    def value(name, parse, ok, want):
+        off, raw = fieldsv[name]
+        try:
+            v = parse(raw)
+        except ValueError:
+            v = None
+        if v is None or not ok(v):
+            raise SnapshotError(f"bad {name} value {raw!r}: want {want}", off)
+        return v
+
+    dom = DomainSpec(*value(
+        "domain", lambda s: tuple(float(x) for x in s.split()),
+        lambda v: len(v) == 3 and all(0 < x < math.inf for x in v),
+        "three finite lengths > 0"))
+    kmax = value("kmax", float, lambda v: 0 < v < math.inf, "finite > 0")
+    frame = value("frame", str, lambda v: v in FRAMES, " or ".join(FRAMES))
+    t = value("t", float, math.isfinite, "finite")
+    nmodes = value("modes", int, lambda v: v >= 0, "a count >= 0")
     try:
-        L1, L2, L3 = (float(x) for x in fieldsv["domain"].split())
-        kmax = float(fieldsv["kmax"])
-        t = float(fieldsv["t"])
-        nmodes = int(fieldsv["modes"])
+        SpectralState(dom, kmax)  # the lattice alone
     except ValueError as exc:
-        raise SnapshotError(f"bad header value: {exc}", lines[1][0])
-    coeffs = {}
+        raise SnapshotError(str(exc), fieldsv["kmax"][0]) from None
+    coeffs, offsets = {}, {}
     for m in range(nmodes):
         off, ln = need(6 + m, f"mode row {m + 1} of {nmodes}")
         parts = ln.split()
@@ -269,12 +291,26 @@ def read_snapshot(path) -> SpectralState:
             re, im = float(parts[4]), float(parts[5])
         except ValueError as exc:
             raise SnapshotError(f"bad mode row: {exc}", off)
-        coeffs[(l1, l2, l3, a)] = complex(re, im)
+        key = (l1, l2, l3, a)
+        if key in offsets:
+            raise SnapshotError(f"mode {key!r} repeats the row at byte "
+                                f"offset {offsets[key]}", off)
+        coeffs[key], offsets[key] = complex(re, im), off
     if len(lines) <= 6 + nmodes:  # the last line read has no line end
         raise SnapshotError("truncated snapshot: last line unterminated",
                             lines[-1][0])
-    return SpectralState(DomainSpec(L1, L2, L3), kmax, coeffs,
-                         frame=fieldsv["frame"], t=t)
+    if len(lines) > 7 + nmodes or lines[-1][1]:
+        raise SnapshotError(f"content after the {nmodes} mode rows",
+                            lines[6 + nmodes][0])
+    try:
+        return SpectralState(dom, kmax, coeffs, frame, t)
+    except ValueError:
+        for key, off in offsets.items():  # name the first bad row
+            try:
+                SpectralState(dom, kmax, {key: 0j})
+            except ValueError as exc:
+                raise SnapshotError(str(exc), off) from None
+        raise SnapshotError("bad mode rows", fieldsv["modes"][0]) from None
 
 
 # -- identity audit --------------------------------------------------------

@@ -131,22 +131,26 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
     table = mode_table(We.domain, We.kmax)
     w, wh = We.array, Whate.array
     has_w, has_wh = We.mask, Whate.mask
+    J = np.nonzero(has_w.any(axis=0))[0]
     K = np.nonzero(has_wh.any(axis=0))[0]
     acc = np.zeros(table.nk, dtype=complex)
     hit = np.zeros(table.nk, dtype=bool)
-    for jn in np.nonzero(has_w.any(axis=0))[0]:
-        b = table.fast_fast_slow(jn, K)
-        keep = (has_w[R_ROWS, jn] & has_wh[S_ROWS, b.K] & ~b.res
+    for b in table.fast_fast_slow_blocks(J, K):
+        keep = (has_w[R_ROWS, b.J] & has_wh[S_ROWS, b.K] & ~b.res
                 & (b.csum != 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            val = (0.5j * b.csum / b.wsum * w[R_ROWS, jn]
+            val = (0.5j * b.csum / b.wsum * w[R_ROWS, b.J]
                    * wh[S_ROWS, b.K])
         if frame_time is not None:
             t, eps = frame_time
-            val = val * np.exp(-1j * b.wsum * t / eps)
-        # each k gives its own l = j + k, so a column sum has no collisions
-        acc[b.L] += np.where(keep, val, 0.0).sum(axis=0)
-        hit[b.L] |= keep.any(axis=0)
+            # in place, so val stays the first factor: numpy's complex
+            # product is not bitwise commutative, and past 256 KiB it
+            # evaluates val * (temporary) as (temporary) *= val
+            val *= np.exp(-1j * b.wsum * t / eps)
+        # summed over (r, s) per pair, then added in pair order, so that
+        # each l sums its pairs in j order
+        np.add.at(acc, b.L, np.where(keep, val, 0.0).sum(axis=0))
+        hit[b.L[keep.any(axis=0)]] = True
     mask = np.zeros((3, table.nk), dtype=bool)
     mask[0] = hit  # acc is zero off the hit rows
     return SpectralState._of(table.index, np.where(mask, acc, 0.0), mask,

@@ -53,6 +53,11 @@ A2I = {0: 0, 1: 1, -1: 2}
 _KEY_ORDER = np.array([2, 0, 1])  # slot rows in key order (labels -1, 0, 1)
 FRAMES = ("rotated", "lab")
 INDEX_CACHE_SIZE = 8  # lattice indices kept, least recently used dropped
+# largest side 2 n + 1, with n the largest floor(kmax / k_factor_i), of the
+# cube of integer triples that a lattice index spans with its candidate
+# box and its row lookup: at most about 100 MB of working arrays.  kmax 8
+# on the 2 pi cube has side 17; kmax 50 has 101.
+INDEX_MAX_SIDE = 101
 
 
 @dataclass(frozen=True)
@@ -134,8 +139,15 @@ class LatticeIndex:
     def __init__(self, domain: DomainSpec, kmax: float, strict: bool = False):
         self.domain, self.kmax = domain, float(kmax)
         f = domain.k_factors()
-        axes = [np.arange(-n, n + 1)
-                for n in (int(math.floor(kmax / fi)) for fi in f)]
+        with np.errstate(divide="ignore"):  # an infinite box
+            half = np.floor(self.kmax / f)
+        side = 2 * half.max() + 1
+        if not side <= INDEX_MAX_SIDE:
+            raise ValueError(
+                f"a lattice with kmax = {kmax:g} on the box {domain.L1:g} x "
+                f"{domain.L2:g} x {domain.L3:g} spans {side:g} integers on "
+                f"an axis, over INDEX_MAX_SIDE = {INDEX_MAX_SIDE}")
+        axes = [np.arange(-n, n + 1) for n in half.astype(int)]
         ints = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 3)
         k = ints * f
         keep = ((k[:, 0] ** 2 + k[:, 1] ** 2 + k[:, 2] ** 2 <= kmax * kmax)

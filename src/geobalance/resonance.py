@@ -8,6 +8,14 @@ makes the frequency-weighted transfer operator bounded.  This module
 enumerates and classifies all triads below a cutoff, evaluates the
 majorants, and audits both properties exhaustively.
 
+The vectorized paths take their triads from
+``ModeTable.fast_fast_slow_blocks``: blocks of whole fast rows j, each
+with every closing k.  :func:`audit` reduces each block at once, with the
+case labels as integer codes; :func:`scan_csv` formats each block's rows
+from its columns and writes them in one call; :func:`enumerate_triads`
+yields the same rows as records.  The scalar :func:`triad_record` is the
+reference they are tested against.
+
 Coefficient sums here INCLUDE the box-volume factor |M| (they are pairing-
 normalized), unlike :func:`geobalance.interactions.coeff`.
 """
@@ -36,6 +44,10 @@ __all__ = [
 
 DEFAULT_THETA0 = 0.5
 _CASES = ("a", "b", "c", "a'", "b'", "degenerate")
+_A, _B, _C, _A1, _B1 = range(5)  # positions of the labels in _CASES
+# one scan_csv row template per fast pair (r, s), in FAST_PAIRS order
+_CSV_ROWS = tuple(f"%d,%d,%d,{r},%d,%d,%d,{s},%d,%d,%d,%s,"
+                  "%.17g,%.17g,%.17g,%.17g\n" for r, s in FAST_PAIRS)
 
 
 @dataclass(frozen=True)
@@ -143,12 +155,13 @@ def casewise_bound(record: TriadRecord, theta0: float = DEFAULT_THETA0,
     raise AssertionError(case)
 
 
-class _Row(NamedTuple):
-    """The triads of fast row jn with its closing fast rows K, as in
-    :class:`TriadRecord`: (m,) arrays K, L and weight, and (4, m) arrays
-    over the fast pairs (r, s) in ``FAST_PAIRS`` order."""
+class _Block(NamedTuple):
+    """The triads of a block of whole fast rows j, as in
+    :class:`TriadRecord`: (m,) arrays J, K, L and weight over the closing
+    pairs in (j, k) order, and (4, m) arrays over the fast pairs (r, s) in
+    ``FAST_PAIRS`` order; ``case`` holds positions in ``_CASES``."""
 
-    jn: int
+    J: np.ndarray
     K: np.ndarray
     L: np.ndarray
     omega_sum: np.ndarray
@@ -164,24 +177,29 @@ class _Row(NamedTuple):
     scale: np.ndarray
 
 
-def _rows(table, theta0):
-    """One _Row for each fast row of ``table`` that closes a triad, in row
-    order: the one computation behind :func:`enumerate_triads` and
-    :func:`audit`."""
+def _check(kmax, theta0):
+    if not math.isfinite(kmax):
+        raise ValueError(f"kmax must be finite, got {kmax}")
+    if not 0.0 < theta0 < 1.0:
+        raise ValueError(f"theta0 must lie in (0,1), got {theta0}")
+
+
+def _blocks(table, theta0):
+    """The triads of every fast row of ``table``, one :class:`_Block` per
+    block of ``ModeTable.fast_fast_slow_blocks``, in row order: the one
+    computation behind :func:`enumerate_triads`, :func:`audit` and
+    :func:`scan_csv`."""
     ints, kph, kabs = table.ints, table.kphys, table.kabs
     vol = table.domain.volume
     p0 = lambda rows: (ints[rows, 0] == 0) & (ints[rows, 1] == 0)  # k' = 0
     J = np.nonzero(table.fast_ok)[0]
-    for jn in J:
-        b = table.fast_fast_slow(jn, J)
-        if len(b.K) == 0:
-            continue
-        jp0, kp0, lp0 = (p0(rows) for rows in (jn, b.K, b.L))
-        jabs, kabs_k, labs = kabs[jn], kabs[b.K], kabs[b.L]
-        j3, k3 = abs(kph[jn][2]), np.abs(kph[b.K][:, 2])
+    for b in table.fast_fast_slow_blocks(J, J):
+        jp0, kp0, lp0 = (p0(rows) for rows in (b.J, b.K, b.L))
+        jabs, kabs_k, labs = kabs[b.J], kabs[b.K], kabs[b.L]
+        j3, k3 = np.abs(kph[b.J, 2]), np.abs(kph[b.K, 2])
         # the first label whose condition holds wins
-        case = np.select([jp0 & kp0, b.res, np.logical_xor(jp0, kp0), lp0],
-                         ["a'", "b'", "c", "b"], "a")
+        case = np.where(jp0 & kp0, _A1, np.where(b.res, _B1, np.where(
+            jp0 != kp0, _C, np.where(lp0, _B, _A))))
         wsa = np.abs(b.wsum)
         with np.errstate(divide="ignore", invalid="ignore"):
             theta = np.where(b.wj == b.wk, np.copysign(np.inf, b.wsum),
@@ -192,12 +210,21 @@ def _rows(table, theta0):
                        2.0 * math.sqrt(5.0) * vol / theta0 * (j3 + k3) * wsa)
         b_b = 0.5 * vol * (j3 + k3) * wsa
         b_c = vol * np.where(jp0, j3, k3) / math.sqrt(2.0) * wsa
-        bound = np.where(case == "a", b_a,
-                         np.where(case == "b", b_b,
-                                  np.where(case == "c", b_c, 0.0)))
+        bound = np.where(case == _A, b_a, np.where(case == _B, b_b, np.where(
+            case == _C, b_c, 0.0)))
         weight = jabs * kabs_k / labs + j3 + k3
-        yield _Row(jn, b.K, b.L, b.wsum, vol * b.csum, b.res, theta, case,
-                   bound, weight, np.where(b.res, np.inf, wsa * weight))
+        yield _Block(b.J, b.K, b.L, b.wsum, vol * b.csum, b.res, theta, case,
+                     bound, weight, np.where(b.res, np.inf, wsa * weight))
+
+
+def _columns(table, t, *fields):
+    """Python lists of block ``t``: for each pair, its integer triples j, k
+    and l as one list of nine, and for each named (4, m) field, its values
+    over the triads in canonical order (pair, then (r, s))."""
+    ints = np.concatenate([table.ints[rows] for rows in (t.J, t.K, t.L)],
+                          axis=1)
+    return (ints.tolist(),
+            *(getattr(t, f).T.ravel().tolist() for f in fields))
 
 
 def enumerate_triads(domain: DomainSpec, kmax: float,
@@ -205,26 +232,31 @@ def enumerate_triads(domain: DomainSpec, kmax: float,
     """Yield every triad record with |j|,|k|,|l| <= kmax, j3 k3 != 0.
 
     Canonical order: j lexicographic, then k lexicographic, then
-    (r,s) in ((+,+),(+,-),(-,+),(-,-)).
+    (r,s) in ((+,+),(+,-),(-,+),(-,-)).  ``ValueError`` for a kmax that is
+    not finite or a theta0 outside (0, 1); none for kmax < 1.
     """
-    if not kmax >= 1:
+    _check(kmax, theta0)
+    return _records(domain, kmax, theta0)
+
+
+def _records(domain, kmax, theta0):
+    if kmax < 1:
         return
     table = mode_table(domain, kmax)
-    for t in _rows(table, theta0):
-        j = tuple(int(x) for x in table.ints[t.jn])
-        # regroup per pair so output order is j, k, (r,s)
-        for m in range(len(t.K)):
-            k = tuple(int(x) for x in table.ints[t.K[m]])
-            l = tuple(int(x) for x in table.ints[t.L[m]])
-            for q, (r, s) in enumerate(FAST_PAIRS):
-                csum = complex(t.coeff_sum[q, m])
-                yield TriadRecord(j=j, r=r, k=k, s=s, l=l,
-                                  omega_sum=float(t.omega_sum[q, m]),
-                                  coeff_sum=csum, case=str(t.case[q, m]),
-                                  theta=float(t.theta[q, m]),
-                                  bound=float(t.bound[q, m]),
-                                  ratio=abs(csum) / float(t.scale[q, m]),
-                                  weight=float(t.weight[m]))
+    for t in _blocks(table, theta0):
+        ints, w, csum, case, theta, bound, scale = _columns(
+            table, t, "omega_sum", "coeff_sum", "case", "theta", "bound",
+            "scale")
+        i = 0
+        for c, weight in zip(ints, t.weight.tolist()):
+            j, k, l = tuple(c[0:3]), tuple(c[3:6]), tuple(c[6:9])
+            for r, s in FAST_PAIRS:
+                yield TriadRecord(j=j, r=r, k=k, s=s, l=l, omega_sum=w[i],
+                                  coeff_sum=csum[i], case=_CASES[case[i]],
+                                  theta=theta[i], bound=bound[i],
+                                  ratio=abs(csum[i]) / scale[i],
+                                  weight=weight)
+                i += 1
 
 
 @dataclass
@@ -281,14 +313,13 @@ def audit(domain: DomainSpec, kmax: float,
     bound dominates every non-resonant |coeff_sum|; reports the empirical
     supremum of the non-resonant ratio.
     """
+    _check(kmax, theta0)
     if not kmax >= 2:
         raise ValueError(f"audit needs kmax >= 2, got {kmax}")
-    if not 0.0 < theta0 < 1.0:
-        raise ValueError(f"theta0 must lie in (0,1), got {theta0}")
     table = mode_table(domain, kmax)
     vol = domain.volume
     n_triads = 0
-    counts = {c: 0 for c in _CASES}
+    counts = np.zeros(len(_CASES), dtype=int)
     max_ratio = -1.0
     max_near = 0.0
     argmax = None
@@ -298,34 +329,34 @@ def audit(domain: DomainSpec, kmax: float,
     # tiny absolute slack: the majorants are exact-arithmetic inequalities,
     # evaluated here in floating point
     slack = 1e-9 * vol
-    for t in _rows(table, theta0):
+    for t in _blocks(table, theta0):
         ac = np.abs(t.coeff_sum)
-        res = t.res
+        res, nr = t.res, ~t.res
         n_triads += ac.size
-        for c in _CASES:
-            counts[c] += int((t.case == c).sum())
-        jk = np.broadcast_to(table.kabs[t.jn] * table.kabs[t.K], res.shape)
+        counts += np.bincount(t.case.ravel(), minlength=len(_CASES))
+        jk = np.broadcast_to(table.kabs[t.J] * table.kabs[t.K], res.shape)
         max_res = max(max_res, float((ac[res] / (vol * np.maximum(
             1.0, jk[res]))).max(initial=0.0)))
-        nr = ~res
-        if nr.any():
-            ratio = ac[nr] / t.scale[nr]
-            near = np.abs(t.theta[nr]) <= theta0
-            max_near = max(max_near, float(ratio[near].max(initial=0.0)))
-            i = int(np.argmax(ratio))
-            if ratio[i] > max_ratio:
-                max_ratio = float(ratio[i])
-                q, m = (ix[i] for ix in np.nonzero(nr))
-                r, s = FAST_PAIRS[q]
-                argmax = (tuple(int(x) for x in table.ints[t.jn]), r,
-                          tuple(int(x) for x in table.ints[t.K[m]]), s)
-            excess = ac[nr] - t.bound[nr]
-            bad = excess > slack
-            n_viol += int(bad.sum())
-            worst_viol = max(worst_viol, float(excess[bad].max(initial=0.0)))
+        ratio = np.where(nr, ac / t.scale, -np.inf)
+        near = np.abs(t.theta) <= theta0
+        max_near = max(max_near, float(ratio[near].max(initial=0.0)))
+        top = ratio.max(initial=-np.inf)
+        if top > max_ratio:
+            max_ratio = float(top)
+            # ties go to the first in j row, then (r, s), then k
+            q, m = np.nonzero(ratio == top)
+            i = np.lexsort((m, q, t.J[m]))[0]
+            r, s = FAST_PAIRS[q[i]]
+            argmax = (tuple(table.ints[t.J[m[i]]].tolist()), r,
+                      tuple(table.ints[t.K[m[i]]].tolist()), s)
+        excess = ac[nr] - t.bound[nr]
+        bad = excess > slack
+        n_viol += int(bad.sum())
+        worst_viol = max(worst_viol, float(excess[bad].max(initial=0.0)))
     cube = domain.L1 == domain.L2 == domain.L3
     return AuditReport(kmax=float(kmax), theta0=theta0, n_triads=n_triads,
-                       case_counts=counts, max_ratio=max_ratio,
+                       case_counts=dict(zip(_CASES, counts.tolist())),
+                       max_ratio=max_ratio,
                        max_ratio_near=max_near, argmax=argmax,
                        max_resonant_residual=max_res,
                        n_bound_violations=n_viol, worst_violation=worst_viol,
@@ -334,7 +365,11 @@ def audit(domain: DomainSpec, kmax: float,
 
 def scan_csv(domain: DomainSpec, kmax: float, path,
              theta0: float = DEFAULT_THETA0) -> int:
-    """Write every triad record as CSV; returns the row count."""
+    """Write every triad record as CSV; returns the row count.
+
+    The rows are the records of :func:`enumerate_triads`, in its order and
+    with its validation, formatted block by block."""
+    _check(kmax, theta0)
     n = 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# triad resonance scan, kmax = {kmax:.17g}, "
@@ -343,11 +378,20 @@ def scan_csv(domain: DomainSpec, kmax: float, path,
                  f"{domain.L3:.17g}; coeff_sum includes |M|\n")
         fh.write("j1,j2,j3,r,k1,k2,k3,s,l1,l2,l3,case,"
                  "omega_sum,abs_coeff_sum,bound,ratio\n")
-        for rec in enumerate_triads(domain, kmax, theta0):
-            fh.write(f"{rec.j[0]},{rec.j[1]},{rec.j[2]},{rec.r},"
-                     f"{rec.k[0]},{rec.k[1]},{rec.k[2]},{rec.s},"
-                     f"{rec.l[0]},{rec.l[1]},{rec.l[2]},{rec.case},"
-                     f"{rec.omega_sum:.17g},{abs(rec.coeff_sum):.17g},"
-                     f"{rec.bound:.17g},{rec.ratio:.17g}\n")
-            n += 1
+        if kmax < 1:
+            return 0
+        table = mode_table(domain, kmax)
+        for t in _blocks(table, theta0):
+            ints, w, csum, case, bound, scale = _columns(
+                table, t, "omega_sum", "coeff_sum", "case", "bound", "scale")
+            rows = []
+            i = 0
+            for c in ints:
+                for row in _CSV_ROWS:
+                    a = abs(csum[i])  # Python's abs, as in TriadRecord.ratio
+                    rows.append(row % (*c, _CASES[case[i]], w[i], a,
+                                       bound[i], a / scale[i]))
+                    i += 1
+            fh.write("".join(rows))
+            n += i
     return n

@@ -2,9 +2,12 @@
 
 import math
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geobalance.cli import (COMMANDS, ConfigError, RunConfig, SnapshotError,
                             default_config_path, echo_config, main,
@@ -117,6 +120,40 @@ class TestSnapshot:
                      "frame lab\nt 0\nmodes 1\n1 0 1 0 0.5\n")
         with pytest.raises(SnapshotError, match="6 fields"):
             read_snapshot(p)
+
+
+def _parse_or_config_error(text):
+    """parse_config either succeeds or raises ConfigError naming at least
+    one violation; any other exception fails the test."""
+    try:
+        cfg = parse_config(text)
+    except ConfigError as exc:
+        assert exc.violations
+    else:
+        assert isinstance(cfg, RunConfig)
+
+
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr), st.integers().map(str),
+    st.complex_numbers().map(str),
+    st.lists(st.one_of(st.floats().map(repr), st.integers().map(str)),
+             max_size=4).map(" ".join))
+
+
+class TestParseConfigFuzz:
+    @given(st.text(max_size=300))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_text(self, text):
+        _parse_or_config_error(text)
+
+    @given(st.lists(st.tuples(st.sampled_from([f.name for f in
+                                               fields(RunConfig)]),
+                              st.one_of(NUMBER_TEXT, st.text(max_size=30))),
+                    max_size=8))
+    @example([("n_grid", "1" * 400)])  # int too large for a float
+    @settings(max_examples=300, deadline=None)
+    def test_key_value_lines(self, pairs):
+        _parse_or_config_error("".join(f"{k} = {v}\n" for k, v in pairs))
 
 
 class TestCommands:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from geobalance import _engine
 from geobalance.interactions import (apply_B, apply_B_fast, apply_B_slow,
                                      apply_Bomega, coeff, coeff_bounds,
                                      dump_coeffs_csv, pairing)
@@ -262,6 +263,19 @@ class TestApplyBomegaAgainstLoop:
             we = random_state(dom, kmax, seed).branch((1, -1))
             wh = random_state(dom, kmax, seed + 10).branch((1, -1))
             assert _assert_matches_loop(we, wh, frame_time)
+
+    @pytest.mark.parametrize("block", [1, 10 ** 9])
+    def test_block_size_changes_no_bit(self, monkeypatch, block):
+        """One j row per triad block, or the whole table in one, gives the
+        bits of the default blocks: each l still sums its pairs in j
+        order, and no product changes bits with the size of its arrays."""
+        we = random_state(DOM, 4.0, 51).branch((1, -1))
+        wh = random_state(DOM, 4.0, 61).branch((1, -1))
+        want = apply_Bomega(we, wh, frame_time=(0.37, 0.05))
+        monkeypatch.setattr(_engine, "TRIAD_BLOCK", block)
+        got = apply_Bomega(we, wh, frame_time=(0.37, 0.05))
+        assert np.array_equal(got.array, want.array)
+        assert np.array_equal(got.mask, want.mask)
 
     def test_sparse_inputs_keep_key_rule(self):
         # stored zeros count as present: a pair with a zero input still

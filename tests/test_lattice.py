@@ -58,6 +58,16 @@ class TestStateValidation:
         with pytest.raises(ValueError, match="branch"):
             SpectralState(DOM, 2.0, {(1, 0, 0, 2): 1.0})
 
+    @pytest.mark.parametrize("dom,kmax", [
+        (DOM, 1e6), (DOM, math.inf), (DomainSpec(6e5, 1.0, 1.0), 3.0),
+        (DomainSpec(math.inf, 1.0, 1.0), 3.0)])
+    def test_lattice_too_large_refused(self, dom, kmax):
+        """A cutoff or box whose lattice would span more than
+        INDEX_MAX_SIDE integers on an axis is refused before anything is
+        allocated."""
+        with pytest.raises(ValueError, match="INDEX_MAX_SIDE"):
+            SpectralState(dom, kmax)
+
     def test_arithmetic(self):
         a = SpectralState(DOM, 2.0, {(1, 0, 1, 0): 1.0})
         b = SpectralState(DOM, 2.0, {(1, 0, 1, 0): 1.0j, (0, 1, 0, 0): 2.0})

@@ -1,11 +1,13 @@
 """Triad classification, exact-resonance detection, casewise bounds."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from geobalance._engine import exact_resonance
+from geobalance import _engine, resonance
+from geobalance._engine import exact_resonance, mode_table
 from geobalance.interactions import coeff
 from geobalance.lattice import DomainSpec, wavevectors
 from geobalance.modes import frequencies
@@ -163,3 +165,91 @@ class TestBounds:
             const = 0.5 * VOL * (4.0 + 6.0 / (1.0 - 0.25))
             want = const * jn * kn / ln * abs(rec.omega_sum)
             assert rec.bound == pytest.approx(want, rel=1e-12)
+
+
+class TestValidation:
+    """scan_csv and enumerate_triads refuse what audit refuses."""
+
+    @pytest.mark.parametrize("kmax", [math.nan, math.inf, -math.inf])
+    def test_kmax_must_be_finite(self, tmp_path, kmax):
+        with pytest.raises(ValueError, match="kmax"):
+            scan_csv(DOM, kmax, tmp_path / "scan.csv")
+        with pytest.raises(ValueError, match="kmax"):
+            enumerate_triads(DOM, kmax)
+        with pytest.raises(ValueError, match="kmax"):
+            audit(DOM, kmax)
+
+    @pytest.mark.parametrize("theta0", [1.5, math.nan, 0.0, 1.0, -0.5])
+    def test_theta0_inside_unit_interval(self, tmp_path, theta0):
+        with pytest.raises(ValueError, match="theta0"):
+            scan_csv(DOM, 2.5, tmp_path / "scan.csv", theta0)
+        with pytest.raises(ValueError, match="theta0"):
+            enumerate_triads(DOM, 2.5, theta0)
+
+    @pytest.mark.parametrize("kmax", [0.5, 0.0, -3.0])
+    def test_small_kmax_gives_an_empty_scan(self, tmp_path, kmax):
+        p = tmp_path / "scan.csv"
+        assert scan_csv(DOM, kmax, p) == 0
+        assert len(p.read_text().splitlines()) == 3
+        assert list(enumerate_triads(DOM, kmax)) == []
+
+
+def _scan_bytes(path, kmax=2.5):
+    scan_csv(DOM, kmax, path)
+    return path.read_bytes()
+
+
+class TestBlocks:
+    """Triads come in blocks of whole j rows; where the blocks end changes
+    no output."""
+
+    @pytest.mark.parametrize("block, n_blocks", [(1, "rows"), (10 ** 9, 1)])
+    def test_block_size_changes_nothing(self, tmp_path, monkeypatch, block,
+                                        n_blocks):
+        want_csv = _scan_bytes(tmp_path / "want.csv")
+        want_audit = audit(DOM, 2.5)
+        monkeypatch.setattr(_engine, "TRIAD_BLOCK", block)
+        table = mode_table(DOM, 2.5)
+        J = np.nonzero(table.fast_ok)[0]
+        assert len(list(table.fast_fast_slow_blocks(J, J))) == (
+            len(J) if n_blocks == "rows" else n_blocks)
+        assert _scan_bytes(tmp_path / "got.csv") == want_csv
+        assert audit(DOM, 2.5) == want_audit
+
+    def test_argmax_ties_go_to_the_earlier_row(self, monkeypatch):
+        """Equal top ratios in two j rows of one block: argmax names the
+        earlier row, though the later one holds the lower (r, s)."""
+        table = mode_table(DOM, 2.5)
+        blocks = list(resonance._blocks(table, 0.5))
+        b = blocks[0]
+        nr = ~b.res
+        first = int(np.argmax(nr[3]))  # (-,-) in the earlier row
+        second = int(np.argmax(nr[0] & (b.J > b.J[first])))  # (+,+) later
+        coeff_sum, scale = b.coeff_sum.copy(), b.scale.copy()
+        for q, m in ((3, first), (0, second)):
+            coeff_sum[q, m], scale[q, m] = 1e6, 1.0
+        blocks[0] = b._replace(coeff_sum=coeff_sum, scale=scale)
+        monkeypatch.setattr(resonance, "_blocks", lambda *args: blocks)
+        rep = audit(DOM, 2.5)
+        assert rep.max_ratio == 1e6
+        assert rep.argmax == (tuple(table.ints[b.J[first]].tolist()), -1,
+                              tuple(table.ints[b.K[first]].tolist()), -1)
+
+    def test_csv_rows_are_the_records(self, tmp_path):
+        """scan_csv formats its blocks itself; row for row, it writes the
+        records of enumerate_triads: integers and case exactly, floats as
+        17-digit text."""
+        p = tmp_path / "scan.csv"
+        n = scan_csv(DOM, 2.5, p)
+        with open(p, newline="") as fh:
+            rows = list(csv.reader(row for row in fh
+                                   if not row.startswith("#")))
+        assert rows[0][:4] == ["j1", "j2", "j3", "r"]
+        recs = list(enumerate_triads(DOM, 2.5))
+        assert n == len(rows) - 1 == len(recs) == 5880
+        for row, rec in zip(rows[1:], recs):
+            want = [*rec.j, rec.r, *rec.k, rec.s, *rec.l]
+            assert [int(x) for x in row[:11]] == want, row
+            assert row[11] == rec.case, row
+            assert row[12:] == [f"{x:.17g}" for x in (
+                rec.omega_sum, abs(rec.coeff_sum), rec.bound, rec.ratio)], row

@@ -1,10 +1,11 @@
 """Snapshot files: bit-exact round trips of random sparse states, and a
-byte offset for every truncated file."""
+byte offset for every truncated or malformed file."""
 
 import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +85,71 @@ class TestSnapshotProperties:
                 assert exc.offset is not None and 0 <= exc.offset <= cut
             else:
                 raise AssertionError(f"prefix of {cut} bytes read")
+
+
+def _read_bytes(tmp, data):
+    """read_snapshot on ``data``: the state, or the SnapshotError, whose
+    offset must lie inside the file (anything else escapes the test)."""
+    p = _path(tmp, "x.snap")
+    with open(p, "wb") as fh:
+        fh.write(data)
+    try:
+        return read_snapshot(p)
+    except SnapshotError as exc:
+        assert exc.offset is not None and 0 <= exc.offset <= len(data), exc
+        return exc
+
+
+def _valid_bytes():
+    s = SpectralState(DOM, 3.0, {(1, 0, 1, 0): 0.5 - 0.25j,
+                                 (0, 0, 2, -1): 0j, (1, -1, 1, 1): 1e-3},
+                      "lab", 0.125)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_snapshot(s, _path(tmp, "s.snap"))
+        with open(_path(tmp, "s.snap"), "rb") as fh:
+            return fh.read()
+
+
+VALID = _valid_bytes()
+
+
+class TestMalformedSnapshots:
+    """Every malformed file gives a SnapshotError with a byte offset."""
+
+    @given(st.one_of(st.binary(max_size=300),
+                     st.binary(max_size=300).map(lambda b: VALID[:60] + b)))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            _read_bytes(tmp, data)
+
+    @given(st.integers(0, len(VALID) - 1), st.integers(0, 255),
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_byte_mutations(self, pos, byte, delete):
+        data = (VALID[:pos] + (b"" if delete else bytes([byte]))
+                + VALID[pos + 1:])
+        with tempfile.TemporaryDirectory() as tmp:
+            _read_bytes(tmp, data)
+
+    @pytest.mark.parametrize("data,match,at", [
+        (VALID[:30] + b"\xff" + VALID[31:], "UTF-8", 30),
+        (b"geobalance-snapshot abc\n", "version abc", 0),
+        (VALID.replace(b"kmax 3", b"kmax nan"), "bad kmax", b"kmax"),
+        (VALID.replace(b"t 0.125", b"t inf"), "bad t", b"t inf"),
+        (VALID.replace(b"frame lab", b"frame up"), "bad frame", b"frame"),
+        (VALID.replace(b"modes 3", b"modes -3"), "bad modes", b"modes"),
+        (VALID.replace(b"domain 6.2831853071795862 ", b"domain 6e5 "),
+         "INDEX_MAX_SIDE", b"kmax"),
+        (VALID.replace(b"0 0 2 -1 0 0", b"1 0 1 0 0 0"), "repeats",
+         b"1 0 1 0 0.5"),
+        (VALID.replace(b"0 0 2 -1", b"0 0 9 -1"), "kmax=3", b"0 0 9"),
+        (VALID + b"1 1 1 0 0 0\n", "after the 3 mode rows", len(VALID)),
+    ])
+    def test_named_faults(self, tmp_path, data, match, at):
+        """The fault is named, at the offset of its line (or byte)."""
+        (tmp_path / "x.snap").write_bytes(data)
+        with pytest.raises(SnapshotError, match=match) as exc:
+            read_snapshot(tmp_path / "x.snap")
+        assert exc.value.offset == (at if isinstance(at, int)
+                                    else data.index(at))
