@@ -30,20 +30,18 @@ Two interchangeable convolution kernels are provided:
   while it is built.
 * ``conv_grid``: pseudospectral product on a padded FFT grid, alias-free
   because the per-axis grid size is at least 3*lmax+1 (the fast path, and
-  an independent physical-space oracle for the direct path).  The lab
-  fields of reality-constrained states are real, so each complex
-  transform carries two of them: f_a + i f_b goes to the grid in one
-  inverse transform, and two real products p + i q come back in one
-  forward transform, split by P = (G + conj G(-l)) / 2 and
-  Q = (G - conj G(-l)) / 2i.  When both operands are the same array, as
-  in every step of the march, the product is taken in divergence form,
-  i l . (u F)_l, exact because k . u_k = 0 for every advection vector:
-  u and F share u1 and u2, so the four fields u1, u2, u3, rho and their
-  eight distinct products take 2 + 4 complex transforms, against 6 + 2
-  for distinct operands.  A lab field whose anti-Hermitian part exceeds
-  ``REAL_TOL`` times its largest coefficient takes the advective form
-  instead, split into two real fields, f = h1 + i h2, with the real
-  product run on each pair of parts, so non-real inputs stay exact.
+  an independent physical-space oracle for the direct path).  It takes
+  the divergence form i l_d (u_d F_c)_l, exact because k . u_k = 0 for
+  every advection vector.  Lab fields of reality-constrained states are
+  real, so each complex transform carries two of them: f_a + i f_b goes
+  to the grid in one inverse transform, and two real products p + i q
+  come back in one forward transform, split by P = (G + conj G(-l)) / 2
+  and Q = (G - conj G(-l)) / 2i.  A self-product, as in every step of the
+  march, shares u1 and u2 between u and F: 4 fields and 8 products in
+  2 + 4 transforms; distinct operands take 6 and 9 in 3 + 5.  A lab field
+  whose anti-Hermitian part exceeds ``REAL_TOL`` of its largest
+  coefficient is split into real parts, f = h1 + i h2, and the product
+  summed over them, so non-real inputs stay exact.
 
 :meth:`ModeTable.conv` is the one dispatch point between them.  It accepts
 the methods in ``CONV_METHODS``: ``"direct"``, ``"grid"``, or ``"auto"``,
@@ -83,12 +81,20 @@ PAIR_BYTES = 80
 # bound also keeps j * nk + k within int32
 DIRECT_MAX_BYTES = 2 ** 29
 
-# candidate (j, k) pairs per block of ModeTable.fast_fast_slow_blocks, in
-# whole j rows (at least one).  It sets memory and speed, not values: one
-# whole-table block gives the same bits at kmax 4 and 5.  At 2,048 the
-# audit and scan peak within 1.5% of one-row blocks' memory (which ran
-# 1.9x as long); blocks of 1,024 ran 15% longer than these.
+# candidate (j, k) pairs per block of ModeTable.fast_fast_slow_blocks and
+# of the direct pair table (_row_blocks), in whole j rows (at least one).
+# It sets memory and speed, not values: one whole-table block gives the
+# same bits at kmax 4 and 5.  At 2,048 the audit and scan peak within 1.5%
+# of one-row blocks' memory (which ran 1.9x as long); blocks of 1,024 ran
+# 15% longer than these.
 TRIAD_BLOCK = 2048
+
+# conv_grid's products u_d F_c as (row of u_d, row of F_c) in the fields
+# it transforms: (u1, u2, u3, rho) for a self-product, F = (u1, u2, rho),
+# in the order that sets the march's bits; else (u1, u2, u3, F1, F2, F3)
+SELF_PRODUCTS = ((0, 0), (0, 1), (0, 3), (1, 1), (1, 3), (2, 0), (2, 1),
+                 (2, 3))
+PAIR_PRODUCTS = tuple((d, c) for d in range(3) for c in range(3, 6))
 
 # fast branch pairs (r, s) in canonical order; the rows of r and of s and
 # the sign products r s, each shaped (4, 1)
@@ -101,6 +107,13 @@ _R2, _S2 = (np.array([1, 2]).reshape(shape) for shape in ((2, 1, 1),
                                                           (1, 2, 1)))
 # every (a, b, g) branch-row combination, shaped (3,1,1,1), (1,3,1,1), ...
 _A3, _B3, _G3 = np.ix_(range(3), range(3), range(3), [0])[:3]
+
+
+def _row_blocks(J: np.ndarray, n: int):
+    """Slices of the rows J, whole rows of about ``TRIAD_BLOCK`` candidate
+    pairs each when every row meets n candidates (at least one row)."""
+    step = max(1, TRIAD_BLOCK // max(n, 1))
+    return (J[i:i + step] for i in range(0, len(J), step))
 
 
 def _next_fast_len(n: int) -> int:
@@ -167,16 +180,13 @@ class ModeTable:
 
     # -- the triad engine --------------------------------------------------
     def closing_pairs(self, J: np.ndarray, K: np.ndarray):
-        """The candidate pairs (J[i], K[i]) whose sum j + k lies inside the
-        table, and the rows L of those sums."""
+        """The pairs (j, k) of the rows J with the rows K whose sum j + k
+        lies inside the table, in (j, k) order, and the rows L of those
+        sums."""
+        J, K = np.repeat(J, len(K)), np.tile(K, len(J))
         L = self.index.rows_of(self.ints[J] + self.ints[K])
         ok = L >= 0
         return J[ok], K[ok], L[ok]
-
-    def closing_rows(self, jn: int, K: np.ndarray):
-        """Rows k of K with j + k inside the table (j = row jn), and the
-        rows of those sums l = j + k."""
-        return self.closing_pairs(np.full(len(K), jn), K)[1:]
 
     def coeff(self, a, J, b, K, g, L) -> np.ndarray:
         """Triad coefficients i (VX_j^a . k)(X_k^b . conj X_l^g), |M| excluded.
@@ -197,7 +207,7 @@ class ModeTable:
         coeff[s,r,0; k,j,l], and exact resonance is decided in integers on
         cube lattices, like :func:`exact_resonance`.
         """
-        J, K, L = self.closing_pairs(np.repeat(J, len(K)), np.tile(K, len(J)))
+        J, K, L = self.closing_pairs(J, K)
         wj = self.omega[R_ROWS, J]
         wk = self.omega[S_ROWS, K]
         wsum = wj + wk
@@ -222,9 +232,8 @@ class ModeTable:
         """:meth:`fast_fast_slow` of the rows J with K, one block of whole
         rows of J at a time, each of about ``TRIAD_BLOCK`` candidate pairs
         (at least one row); the blocks follow the order of J."""
-        step = max(1, TRIAD_BLOCK // max(len(K), 1))
-        for i in range(0, len(J), step):
-            yield self.fast_fast_slow(J[i:i + step], K)
+        for Jb in _row_blocks(J, len(K)):
+            yield self.fast_fast_slow(Jb, K)
 
     # -- direct triad table ------------------------------------------------
     def pairs(self) -> Pairs:
@@ -233,28 +242,26 @@ class ModeTable:
             self._build_triads()
 
     def _build_triads(self) -> Pairs:
-        """Collect the closing pairs row by row; ``MemoryError`` as soon as
-        they and the call arrays pass ``DIRECT_MAX_BYTES``."""
+        """Collect the closing pairs in blocks of whole rows j
+        (``_row_blocks``); ``MemoryError`` as soon as they and the call
+        arrays pass ``DIRECT_MAX_BYTES``."""
         nk = self.nk
         rows = np.arange(nk)
         square = 16 * nk * nk  # complex u_j . k for every (j, k)
-        jj, kk, ll, m = [], [], [], 0
-        for jn in range(nk):
-            K, L = self.closing_rows(jn, rows)
-            m += K.size
+        blocks, m = [(rows[:0],) * 3], 0  # an empty block for nk = 0
+        for Jb in _row_blocks(rows, nk):
+            blocks.append(self.closing_pairs(Jb, rows))
+            m += blocks[-1][0].size
             if square + PAIR_BYTES * m > DIRECT_MAX_BYTES:
-                projected = square + PAIR_BYTES * m * nk // (jn + 1)
+                done = int(Jb[-1]) + 1
+                projected = square + PAIR_BYTES * m * nk // done
                 raise MemoryError(
                     f"direct convolution on nk = {nk} modes needs about "
                     f"{projected:,} bytes (pair table and call arrays, "
-                    f"projected from {jn + 1} of {nk} rows), over "
+                    f"projected from {done} of {nk} rows), over "
                     f"DIRECT_MAX_BYTES = {DIRECT_MAX_BYTES:,}; use "
                     f"conv_grid")
-            jj.append(np.full(K.size, jn, dtype=np.int32))
-            kk.append(K.astype(np.int32))
-            ll.append(L.astype(np.int32))
-        J, K, L = (np.concatenate(x) if x else np.zeros(0, dtype=np.int32)
-                   for x in (jj, kk, ll))
+        J, K, L = (np.concatenate(x).astype(np.int32) for x in zip(*blocks))
         order = np.lexsort((J, L))
         J, K, L = J[order], K[order], L[order]
         targets, starts = np.unique(L, return_index=True)
@@ -309,41 +316,25 @@ class ModeTable:
         Gl, Gm = G[flat], np.conj(G[flat_m])
         return 0.5 * (Gl + Gm), -0.5j * (Gl - Gm)
 
-    def _real_product(self, u: np.ndarray, F: np.ndarray) -> np.ndarray:
-        """Coefficients of u . grad F for real fields u and F, each given
-        by its (3, nk) Hermitian coefficients: 12 real fields in 6 complex
-        transforms, 3 real products in 2."""
-        ik = 1j * self.kphys.T
-        coef = [*u, *(k * Fc for Fc in F for k in ik)]
-        grids = [self._to_grid(a, b) for a, b in zip(coef[::2], coef[1::2])]
-        f = [x for g in grids for x in (g.real, g.imag)]
-        out = [np.zeros_like(grids[0]) for _ in range(2)]
-        tmp = np.empty_like(f[0])
-        for c, acc in enumerate((out[0].real, out[0].imag, out[1].real)):
-            for d in range(3):  # u_d d_d F_c
-                acc += np.multiply(f[d], f[3 + 3 * c + d], out=tmp)
-        (p0, p1), (p2, _) = (self._from_grid(g) for g in out)
-        return np.array([p0, p1, p2])
-
-    def _real_square(self, f: np.ndarray) -> np.ndarray:
-        """Coefficients of u . grad F for F = (u1, u2, rho) and the real
-        fields f = (u1, u2, u3, rho), in divergence form: i l_d (u_d F_c),
-        exact because k . u_k = 0 for every advection vector.  The 8
-        distinct products of 4 real fields take 2 + 4 complex transforms."""
-        g12, g3r = self._to_grid(f[0], f[1]), self._to_grid(f[2], f[3])
-        u1, u2, u3, r = g12.real, g12.imag, g3r.real, g3r.imag
-        buf = np.empty_like(g12)
-        prods = []
-        for (p, q), (s, t) in (((u1, u1), (u1, u2)), ((u1, r), (u2, u2)),
-                               ((u2, r), (u3, u1)), ((u3, u2), (u3, r))):
-            np.multiply(p, q, out=buf.real)
-            np.multiply(s, t, out=buf.imag)
-            prods += self._from_grid(buf)
-        p11, p12, p1r, p22, p2r, p31, p32, p3r = prods
+    def _divergence(self, f: np.ndarray, products) -> np.ndarray:
+        """u . grad F as i l_d (u_d F_c)_l, from the (m, nk) Hermitian
+        coefficients f of real lab fields, two per inverse transform, and
+        the products u_d F_c as rows of f, two per forward transform."""
+        grids = [self._to_grid(a, b) for a, b in zip(f[::2], f[1::2])]
+        x = [y for g in grids for y in (g.real, g.imag)]
+        buf = np.empty_like(grids[0])
+        P = {}
+        for i in range(0, len(products), 2):
+            pair = products[i:i + 2]
+            if len(pair) == 1:
+                buf.imag = 0.0
+            for (d, c), part in zip(pair, (buf.real, buf.imag)):
+                np.multiply(x[d], x[c], out=part)
+            for (d, c), Pdc in zip(pair, self._from_grid(buf)):
+                P[d, c] = P[c, d] = Pdc
         k1, k2, k3 = self.kphys.T
-        return 1j * np.array([k1 * p11 + k2 * p12 + k3 * p31,
-                              k1 * p12 + k2 * p22 + k3 * p32,
-                              k1 * p1r + k2 * p2r + k3 * p3r])
+        return 1j * np.array([k1 * P[0, c] + k2 * P[1, c] + k3 * P[2, c]
+                              for c in sorted({c for _, c in products})])
 
     def _is_real(self, f: np.ndarray) -> bool:
         """Whether the anti-Hermitian part of the (m, nk) lab fields f is
@@ -364,12 +355,12 @@ class ModeTable:
         """Same convolution via physical-space products on a padded grid.
 
         Reconstructs the advecting velocity u from w and the advected
-        3-component field F from what, forms u . grad(F) pointwise, and
-        projects back onto the eigenframe.  A self-product (``w is what``,
-        so F shares u1 and u2) of real lab fields is taken in divergence
-        form.  Otherwise, or when the lab fields are not real, inputs are
-        split into real parts and the product is summed over them (it is
-        bilinear).
+        3-component field F from what, forms the products u_d F_c
+        pointwise, and projects their divergence back onto the eigenframe.
+        A self-product (``w is what``) of real lab fields transforms the
+        four fields u and F share.  Otherwise each operand is split into
+        real parts when its lab field is not real, and the product is
+        summed over the parts (it is bilinear).
         """
         if self._grid is None:
             self._grid_setup()
@@ -378,13 +369,14 @@ class ModeTable:
             f = np.concatenate((u, np.einsum("an,an->n", what,
                                              self.X[..., 2])[None]))
             if self._is_real(f):
-                adv = self._real_square(f)
+                adv = self._divergence(f, SELF_PRODUCTS)
                 return np.einsum("cn,anc->an", adv, np.conj(self.X))
             F = f[[0, 1, 3]]
         else:
             F = np.einsum("an,anc->cn", what, self.X)
         Fparts = self._real_parts(F)
-        adv = sum(a * b * self._real_product(up, Fp)
+        adv = sum(a * b * self._divergence(np.concatenate((up, Fp)),
+                                           PAIR_PRODUCTS)
                   for a, up in self._real_parts(u) for b, Fp in Fparts)
         return np.einsum("cn,anc->an", adv, np.conj(self.X))
 

@@ -156,6 +156,9 @@ def _validate(cfg: RunConfig):
         v.append("n_grid entries must be integers")
     if not (cfg.toy_dt > 0 and cfg.toy_T > 0):
         v.append("toy_dt and toy_T must be > 0")
+    elif _whole_steps(cfg.toy_T, cfg.toy_dt) is None:
+        v.append(f"toy_T = {cfg.toy_T!r} must be a whole number of steps "
+                 f"toy_dt = {cfg.toy_dt!r}")
     if cfg.forcing_file:
         try:
             ForcingSpec(_read_forcing(cfg.forcing_file))

@@ -137,10 +137,10 @@ class TrajectoryRecord:
 
 
 def _whole_steps(t_end: float, dt: float):
-    """t_end / dt if within 1e-9 relative of a whole number, else None."""
+    """t_end / dt if finite and whole to 1e-9 relative, else None."""
     n = t_end / dt
-    m = round(n)
-    return m if abs(n - m) <= 1e-9 * max(1.0, n) else None
+    whole = math.isfinite(n) and abs(n - round(n)) <= 1e-9 * max(1.0, n)
+    return round(n) if whole else None
 
 
 def apply_A(state: SpectralState, mu: float) -> SpectralState:

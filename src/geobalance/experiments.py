@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._engine import mode_table
-from .dynamics import ForcingSpec, SolverConfig, integrate
+from .dynamics import ForcingSpec, SolverConfig, _whole_steps, integrate
 from .lattice import (DomainSpec, SpectralState, gevrey_norm,
                       random_state, sobolev_norm, truncate)
 from .slowmanifold import ManifoldApprox, kappa_delta
@@ -123,9 +123,12 @@ def toy_model(eps: float, mu: float, f: complex, T: float, dt: float,
     """
     if not (eps > 0 and mu > 0 and dt > 0):
         raise ValueError("eps, mu, dt must all be > 0")
+    nstep = _whole_steps(T, dt) if T >= 0 else None
+    if nstep is None:
+        raise ValueError(f"T = {T!r} must be a whole number of steps "
+                         f"dt = {dt!r}, >= 0")
     lam = 1j / eps + mu
     U = eps * f / (eps * mu + 1j)
-    nstep = int(round(T / dt))
     decay = np.exp(-lam * dt)
     gain = f * (1.0 - decay) / lam
     x = np.empty(nstep + 1, dtype=complex)

@@ -50,6 +50,11 @@ class TestParseConfig:
         assert any("bogus" in x for x in v)
         assert any("cannot parse mu" in x for x in v)
 
+    def test_toy_T_not_whole_steps_named(self):
+        with pytest.raises(ConfigError, match="toy_T = 1.0 must be a whole "
+                                              "number of steps toy_dt = 0.3"):
+            parse_config("toy_T = 1\ntoy_dt = 0.3\n")
+
     def test_grids(self):
         cfg = parse_config("eps_grid = 0.2 0.1\nn_grid = 0 1 2\n")
         assert cfg.eps_grid == (0.2, 0.1)
@@ -140,15 +145,35 @@ NUMBER_TEXT = st.one_of(
              max_size=4).map(" ".join))
 
 
+# forcing_file values: relative names without path separators, which
+# resolve inside the fuzz tests' empty working directory
+FILE_NAME = st.text(max_size=30).filter(lambda s: "/" not in s
+                                        and os.sep not in s)
+
+
+def _value(key):
+    return st.one_of(NUMBER_TEXT, FILE_NAME if key == "forcing_file"
+                     else st.text(max_size=30))
+
+
 class TestParseConfigFuzz:
+    """Run in an empty temporary directory, so that a forcing_file name
+    reaches no checkout file."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def _empty_cwd(self, tmp_path_factory):
+        cwd = os.getcwd()
+        os.chdir(tmp_path_factory.mktemp("fuzz"))
+        yield
+        os.chdir(cwd)
+
     @given(st.text(max_size=300))
     @settings(max_examples=200, deadline=None)
     def test_arbitrary_text(self, text):
         _parse_or_config_error(text)
 
-    @given(st.lists(st.tuples(st.sampled_from([f.name for f in
-                                               fields(RunConfig)]),
-                              st.one_of(NUMBER_TEXT, st.text(max_size=30))),
+    @given(st.lists(st.sampled_from([f.name for f in fields(RunConfig)])
+                    .flatmap(lambda k: st.tuples(st.just(k), _value(k))),
                     max_size=8))
     @example([("n_grid", "1" * 400)])  # int too large for a float
     @settings(max_examples=300, deadline=None)

@@ -1,8 +1,8 @@
 """The direct kernel's pair sum against a per-triple sum built from the
-coefficients, the bound on its pair table, and the real-field grid product
-(advective form, and divergence form for a self-product) against the direct
-sum, on the cube and on an anisotropic box, for real and for non-real lab
-fields."""
+coefficients, the bound on its pair table, and the divergence-form grid
+product (on fields shared by a self-product, or on two operands' fields)
+against the direct sum, on the cube and on an anisotropic box, for real
+and for non-real lab fields."""
 
 import functools
 import math
@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geobalance import _engine
-from geobalance._engine import (_A3, _B3, _G3, PAIR_BYTES, REAL_TOL,
-                                ModeTable, mode_table)
+from geobalance._engine import (_A3, _B3, _G3, PAIR_BYTES, PAIR_PRODUCTS,
+                                REAL_TOL, SELF_PRODUCTS, ModeTable,
+                                mode_table)
 from geobalance.lattice import DomainSpec, SpectralState, enforce_reality
 
 DOM = DomainSpec()
@@ -36,18 +37,15 @@ def _random(table, rng, constrained):
 
 @functools.lru_cache(maxsize=len(CASES))
 def _entries(table):
-    """The per-triple table of the direct sum, row by row from the triad
-    engine: flat slot indices a * nk + j, b * nk + k, g * nk + l of every
-    nonzero coefficient ``coeff``, and the coefficient."""
+    """The per-triple table of the direct sum from the triad engine: flat
+    slot indices a * nk + j, b * nk + k, g * nk + l of every nonzero
+    coefficient ``coeff``, and the coefficient."""
     n = table.nk
     rows = np.arange(n)
-    parts = []
-    for jn in range(n):
-        K, L = table.closing_rows(jn, rows)
-        c = table.coeff(_A3, jn, _B3, K, _G3, L)  # (a, b, g, m)
-        a, b, g, m = np.nonzero(c)
-        parts.append((a * n + jn, b * n + K[m], g * n + L[m], c[a, b, g, m]))
-    return tuple(np.concatenate(x) for x in zip(*parts))
+    J, K, L = table.closing_pairs(rows, rows)
+    c = table.coeff(_A3, J, _B3, K, _G3, L)  # (a, b, g, m)
+    a, b, g, m = np.nonzero(c)
+    return a * n + J[m], b * n + K[m], g * n + L[m], c[a, b, g, m]
 
 
 def _triad_terms(table, w, what):
@@ -83,8 +81,19 @@ def test_pair_table_holds_every_closing_pair_once():
     assert (table.ints[p.J] + table.ints[p.K] == table.ints[p.L]).all()
     assert np.array_equal(p.JK, p.J * table.nk + p.K)
     rows = np.arange(table.nk)
-    count = sum(table.closing_rows(jn, rows)[0].size for jn in rows)
+    count = table.closing_pairs(rows, rows)[0].size
     assert len(np.unique(p.JK)) == p.J.size == count
+
+
+def test_pair_table_does_not_depend_on_the_block_size(monkeypatch):
+    """One-row blocks and one whole-table block collect the same pairs."""
+    nk = mode_table(DOM, 4.0).nk
+    tables = []
+    for block in (1, nk * nk):
+        monkeypatch.setattr(_engine, "TRIAD_BLOCK", block)
+        tables.append(ModeTable(DOM, 4.0).pairs())
+    for a, b in zip(*tables):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_pair_table_over_the_byte_bound_raises(monkeypatch):
@@ -111,6 +120,10 @@ def _lab_field(table, what):
     return np.einsum("an,anc->cn", what, table.X)
 
 
+def _adv_field(table, w):
+    return np.einsum("an,anc->cn", w, table.VX)
+
+
 @given(case=st.sampled_from(CASES), seed=st.integers(0, 2 ** 32 - 1),
        constrained=st.booleans())
 @settings(max_examples=30, deadline=None)
@@ -124,14 +137,15 @@ def test_grid_equals_direct(case, seed, constrained):
 
 
 def _count_products(monkeypatch):
+    """The product list of every call of the grid product routine."""
     calls = []
-    product = ModeTable._real_product
+    product = ModeTable._divergence
 
-    def counted(self, u, F):
-        calls.append(1)
-        return product(self, u, F)
+    def counted(self, f, products):
+        calls.append(products)
+        return product(self, f, products)
 
-    monkeypatch.setattr(ModeTable, "_real_product", counted)
+    monkeypatch.setattr(ModeTable, "_divergence", counted)
     return calls
 
 
@@ -153,6 +167,20 @@ def test_unconstrained_inputs_take_four_real_products(monkeypatch):
     assert len(calls) == 4
 
 
+def _planted(table, rng, field):
+    """A real state on the one wavevector pair +-(1, 0, 1), alone and plus
+    i times a real state on every wavevector: an anti-Hermitian part whose
+    lab field ``field`` is just above ``REAL_TOL`` of the real part's."""
+    row, = table.index.rows_of(np.array([[1, 0, 1]]))
+    real = np.zeros((3, table.nk), dtype=complex)
+    real[0, row] = 1.0
+    real = enforce_reality(SpectralState._of(table.index, real)).array
+    spread = _random(table, rng, True)
+    amp = (1.5 * REAL_TOL * np.abs(field(table, real)).max()
+           / np.abs(field(table, spread)).max())
+    return real, real + 1j * amp * spread
+
+
 def test_planted_anti_hermitian_part_is_kept():
     """An advected field whose anti-Hermitian part is just above
     ``REAL_TOL`` of its largest coefficient: dropping that part would miss
@@ -160,18 +188,24 @@ def test_planted_anti_hermitian_part_is_kept():
     table = mode_table(DOM, 4.0)
     rng = np.random.default_rng(7)
     w = _random(table, rng, True)
-    # a real field on the one wavevector pair +-(1, 0, 1) ...
-    row, = table.index.rows_of(np.array([[1, 0, 1]]))
-    real = np.zeros((3, table.nk), dtype=complex)
-    real[0, row] = 1.0
-    real = enforce_reality(SpectralState._of(table.index, real)).array
-    # ... plus i times a real field on every wavevector: anti-Hermitian
-    spread = _random(table, rng, True)
-    amp = (1.5 * REAL_TOL * np.abs(_lab_field(table, real)).max()
-           / np.abs(_lab_field(table, spread)).max())
-    what = real + 1j * amp * spread
+    real, what = _planted(table, rng, _lab_field)
     d = table.conv_direct(w, what)
     dropped = table.conv_grid(w, real)
+    tol = 1e-13 * _largest_term(table, w, what)
+    assert np.abs(dropped - d).max() > 3 * tol  # the part matters
+    assert np.abs(table.conv_grid(w, what) - d).max() <= tol
+
+
+def test_planted_anti_hermitian_advecting_part_is_kept():
+    """The mirror case: the advecting velocity has the anti-Hermitian part
+    just above ``REAL_TOL`` of its own largest coefficient, far below that
+    of the advected field, so only a realness test per operand keeps it."""
+    table = mode_table(DOM, 4.0)
+    rng = np.random.default_rng(7)
+    what = _random(table, rng, True)
+    real, w = _planted(table, rng, _adv_field)
+    d = table.conv_direct(w, what)
+    dropped = table.conv_grid(real, what)
     tol = 1e-13 * _largest_term(table, w, what)
     assert np.abs(dropped - d).max() > 3 * tol  # the part matters
     assert np.abs(table.conv_grid(w, what) - d).max() <= tol
@@ -181,8 +215,8 @@ def test_planted_anti_hermitian_part_is_kept():
        constrained=st.booleans())
 @settings(max_examples=30, deadline=None)
 def test_self_product_equals_direct(case, seed, constrained):
-    """The same array twice: divergence form when the lab fields are real,
-    the advective split otherwise."""
+    """The same array twice: the shared fields when the lab fields are
+    real, the split over both operands' fields otherwise."""
     table = mode_table(*case)
     c = _random(table, np.random.default_rng(seed), constrained)
     d = table.conv_direct(c, c)
@@ -193,6 +227,8 @@ def test_self_product_equals_direct(case, seed, constrained):
 @given(case=st.sampled_from(CASES), seed=st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_divergence_form_equals_advective_form(case, seed):
+    """The self-product on its four shared fields against the same product
+    of two equal operands on their six unshared fields."""
     table = mode_table(*case)
     c = _random(table, np.random.default_rng(seed), True)
     div = table.conv_grid(c, c)
@@ -202,8 +238,8 @@ def test_divergence_form_equals_advective_form(case, seed):
 
 def test_planted_anti_hermitian_self_product_is_kept():
     """A self-product whose lab fields have an anti-Hermitian part just
-    above ``REAL_TOL``: the divergence form, which assumes real fields,
-    must give way to the exact split."""
+    above ``REAL_TOL``: the shared-field product, which assumes real
+    fields, must give way to the exact split."""
     table = mode_table(DOM, 4.0)
     rng = np.random.default_rng(8)
     real = _random(table, rng, True)
@@ -229,7 +265,8 @@ def _count_transforms(monkeypatch):
 
 def test_constrained_self_product_takes_six_transforms(monkeypatch):
     """Two real fields per complex transform: u1, u2, u3 and rho in 2
-    inverse transforms, the 8 distinct products u_d F_c in 4 forward."""
+    inverse transforms, the 8 distinct products u_d F_c in 4 forward.
+    Distinct operands take their 6 fields in 3 and their 9 products in 5."""
     table = mode_table(DOM, 4.0)
     c = _random(table, np.random.default_rng(9), True)
     table.conv_grid(c, c)  # grid set-up
@@ -237,7 +274,7 @@ def test_constrained_self_product_takes_six_transforms(monkeypatch):
     products = _count_products(monkeypatch)
     table.conv_grid(c, c)
     assert calls == {"fftn": 4, "ifftn": 2, "rfftn": 0, "irfftn": 0}
-    assert not products
+    assert products == [SELF_PRODUCTS]
     table.conv_grid(c, c.copy())
-    assert len(products) == 1
-    assert calls == {"fftn": 6, "ifftn": 8, "rfftn": 0, "irfftn": 0}
+    assert products == [SELF_PRODUCTS, PAIR_PRODUCTS]
+    assert calls == {"fftn": 9, "ifftn": 5, "rfftn": 0, "irfftn": 0}

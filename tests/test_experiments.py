@@ -42,6 +42,18 @@ class TestToyModel:
         with pytest.raises(ValueError):
             toy_model(0.1, 1.0, 1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.0, 0.4), (0.1, 0.3)])
+    def test_partial_last_step_refused(self, T, dt):
+        """T = 1 by dt 0.3 or 0.4 would end at 0.9 or 0.8, and T = 0.1 by
+        dt 0.3 would take no step, rather than reach T."""
+        with pytest.raises(ValueError, match="whole number of steps"):
+            toy_model(0.1, 0.5, 1, T=T, dt=dt)
+
+    def test_float_noise_is_whole_steps(self):
+        # in floats 0.3 / 0.1 = 2.9999999999999996: still 3 steps
+        traj = toy_model(0.1, 0.5, 1, T=0.3, dt=0.1)
+        assert len(traj.times) == 4
+
     def test_csv(self, tmp_path):
         traj = toy_model(0.1, 1.0, 1.0, 0.5, 0.1)
         p = tmp_path / "toy.csv"
