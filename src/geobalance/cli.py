@@ -437,7 +437,7 @@ def run(command: str, cfg: RunConfig) -> int:
                                  f"seed = {cfg.seed}"])
         write_snapshot(final, os.path.join(out, "final_state.snap"))
         print(f"simulate: {nsteps} steps{note}, final ||W|| = "
-              f"{sobolev_norm(final):.6g}, reality defect "
+              f"{rec.e_total[-1]:.6g}, reality defect "
               f"{check_reality(final):.3e}")
         return 0
 

@@ -16,12 +16,14 @@ itself.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._engine import CONV_METHODS, mode_table
-from .lattice import DomainSpec, SpectralState, check_reality
+from .lattice import (DomainSpec, SpectralState, _key_sum, check_reality,
+                      sobolev_norm)
 
 __all__ = [
     "ForcingSpec",
@@ -89,10 +91,10 @@ class SolverConfig:
     conv_method: str = "auto"  # one of _engine.CONV_METHODS
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be >= 0, got {self.mu}")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+        if not (self.mu >= 0 and math.isfinite(self.mu)):
+            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
         if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not self.kmax > 0:
@@ -106,8 +108,9 @@ class SolverConfig:
             raise ValueError(f"t_end = {self.t_end!r} must be a whole number "
                              f"of steps dt = {self.dt!r}, >= 0 "
                              f"(t_end/dt = {n!r})")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        if not (self.record_every >= 1 and self.record_every % 1 == 0):
+            raise ValueError(f"record_every must be a whole number >= 1, "
+                             f"got {self.record_every!r}")
         if self.record_every * self.dt > self.t_end * (1 + 1e-9) > 0:
             raise ValueError("record cadence exceeds t_end")
 
@@ -226,17 +229,14 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     def record(t, w, E, f):
         """Append the diagnostics of w; returns its product N, which the
         next step's first stage reuses."""
+        st = SpectralState._of(table.index, w, t=t)
         if keep_states:  # w is never written in place
-            states.append(SpectralState._of(table.index, w, t=t))
-        fast = np.abs(w[1:]) ** 2
-        slow = np.abs(w[0]) ** 2
-        tot = fast.sum() + slow.sum()
+            states.append(st)
         times.append(t)
-        et.append(math.sqrt(tot))
-        ef.append(math.sqrt(fast.sum()))
-        es.append(math.sqrt(slow.sum()))
-        h1.append(math.sqrt(float((table.kabs ** 2
-                                   * (np.abs(w) ** 2).sum(axis=0)).sum())))
+        et.append(sobolev_norm(st))
+        ef.append(sobolev_norm(st.branch((1, -1))))
+        es.append(sobolev_norm(st.branch(0)))
+        h1.append(sobolev_norm(st, 1.0))
         N = _square(w, E, conv)
         br.append(_budget_dense(table, w, E, cfg, f, conv, N)[-1])
         return N
@@ -288,21 +288,21 @@ def _budget_dense(table, w, E, cfg, f, conv, N):
 
         de_fast + dissipation = transfer + injection
 
-    holds up to roundoff (the residual).  All terms carry the |M| pairing
-    factor.
+    holds up to roundoff (the residual).  Each term is |M| Re sum x
+    conj(c_fast) for some x, summed in key order as ``pairing`` sums.
     """
-    vol = table.domain.volume
     c = E * w
-    cdot = -N - cfg.mu * table.kabs ** 2 * c + f  # lab tendency minus iL/eps
-    fastsel = np.s_[1:]
-    de = vol * float((np.conj(c[fastsel]) * cdot[fastsel]).sum().real)
-    diss = vol * cfg.mu * float((table.kabs ** 2
-                                 * (np.abs(c[fastsel]) ** 2).sum(axis=0)).sum())
-    c0 = c.copy()
-    c0[fastsel] = 0.0
-    B0 = conv(c, c0)  # B(W, W0)
-    transfer = -vol * float((np.conj(c[fastsel]) * B0[fastsel]).sum().real)
-    inject = vol * float((np.conj(c[fastsel]) * f[fastsel]).sum().real)
+    c0 = np.where([[True], [False], [False]], c, 0.0)  # the slow part
+    cfast = np.conj(c - c0)
+
+    def pair(x):
+        return table.domain.volume * float(_key_sum(x * cfast).real)
+
+    Dc = cfg.mu * table.kabs ** 2 * c
+    de = pair(-N - Dc + f)  # the lab tendency minus iL/eps
+    diss = pair(Dc)
+    transfer = -pair(conv(c, c0))  # B(W, W0)
+    inject = pair(f)
     residual = de + diss - transfer - inject
     return de, diss, transfer, inject, residual
 
@@ -334,8 +334,8 @@ def reconstruct_fields(state: SpectralState, resolution) -> dict:
     """
     from .modes import _vectors
 
-    if isinstance(resolution, int):
-        dims = (resolution,) * 3
+    if np.ndim(resolution) == 0:
+        dims = (operator.index(resolution),) * 3
     else:
         dims = tuple(int(n) for n in resolution)
     dom = state.domain

@@ -68,13 +68,8 @@ class ScanReport:
                if ok and r[ycol] > 0]
         if len(pts) < 2:
             return
-        lx = np.log([p[0] for p in pts])
-        ly = np.log([p[1] for p in pts])
-        A = np.vstack([lx, np.ones_like(lx)]).T
-        sol, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
-        self.slope, self.intercept = float(sol[0]), float(sol[1])
-        self.fit_residual = float(np.sqrt(res[0] / len(pts))) if len(res) \
-            else 0.0
+        _fit_line(self, np.log([p[0] for p in pts]),
+                  np.log([p[1] for p in pts]))
 
     def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -94,6 +89,16 @@ class ScanReport:
             fh.write(f"# fit_residual = {self.fit_residual:.17g}\n")
             for k in sorted(self.passed):
                 fh.write(f"# pass_{k} = {int(self.passed[k])}\n")
+
+
+def _fit_line(report, x, y):
+    """Least-squares line y = slope x + intercept through the points
+    (x, y), with its rms residual, into ``report``."""
+    A = np.vstack([x, np.ones_like(x)]).T
+    sol, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
+    report.slope, report.intercept = float(sol[0]), float(sol[1])
+    report.fit_residual = float(np.sqrt(res[0] / len(x))) if len(res) \
+        else 0.0
 
 
 # -- toy model -------------------------------------------------------------
@@ -166,14 +171,9 @@ def oscillation_dt(domain: DomainSpec, kmax: float, eps: float,
     return 2.0 * math.pi * eps / (oversample * max(omega_max, 1.0))
 
 
-def _fast_part(state: SpectralState) -> SpectralState:
-    return state.branch((1, -1))
-
-
-def _window_sups(samples):
-    """Sup over the window, the sups of its two halves, and a two-half
-    trend check."""
-    vals = np.asarray(samples, dtype=float)
+def _window_sups(vals):
+    """Sup over the window's norms, the sups of its two halves, and a
+    two-half trend check."""
     half = len(vals) // 2
     # the samples are norms, >= 0, so an empty half reads 0
     s1, s2 = (float(v.max(initial=0.0)) for v in (vals[:half], vals[half:]))
@@ -182,8 +182,9 @@ def _window_sups(samples):
 
 
 def _run_to_window(domain, kmax, eps, mu, forcing, transient, window,
-                   oversample):
-    """Integrate from rest; return the states sampled in the window."""
+                   oversample, keep_states=False):
+    """Integrate from rest; return the trajectory record and the index of
+    its first sample in the window."""
     dt = oscillation_dt(domain, kmax, eps, oversample)
     nt = int(math.ceil(transient / dt))
     nw = int(math.ceil(window / dt))
@@ -192,9 +193,8 @@ def _run_to_window(domain, kmax, eps, mu, forcing, transient, window,
                        kmax=kmax, record_every=max(1, nw // 200),
                        conv_method="auto")
     state = SpectralState(domain, kmax, {})
-    rec, final = integrate(state, cfg, forcing, keep_states=True)
-    t0 = nt * dt
-    return [st for t, st in zip(rec.times, rec.states) if t >= t0 - 1e-12]
+    rec, _ = integrate(state, cfg, forcing, keep_states=keep_states)
+    return rec, int(np.searchsorted(rec.times, nt * dt - 1e-12))
 
 
 def balance_scan(eps_values, domain=None, kmax=DEFAULT_KMAX, mu=DEFAULT_MU,
@@ -212,9 +212,9 @@ def balance_scan(eps_values, domain=None, kmax=DEFAULT_KMAX, mu=DEFAULT_MU,
         config_echo=dict(kmax=kmax, mu=mu, transient=transient,
                          window=window, oversample=oversample))
     for eps in eps_values:
-        states = _run_to_window(domain, kmax, eps, mu, forcing,
-                                transient, window, oversample)
-        fast = [sobolev_norm(_fast_part(st)) for st in states]
+        rec, i0 = _run_to_window(domain, kmax, eps, mu, forcing,
+                                 transient, window, oversample)
+        fast = rec.e_fast[i0:]
         sup, s1, s2, converged = _window_sups(fast)
         report.rows.append(dict(eps=float(eps), sup_fast=sup,
                                 sup_first_half=s1, sup_second_half=s2,
@@ -246,12 +246,12 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
         config_echo=dict(kmax=kmax, mu=mu, transient=transient,
                          window=window, oversample=oversample))
     for eps in eps_values:
-        states = _run_to_window(domain, kmax, eps, mu, forcing,
-                                transient, window, oversample)
+        rec, i0 = _run_to_window(domain, kmax, eps, mu, forcing, transient,
+                                 window, oversample, keep_states=True)
+        states, fast_norms = rec.states[i0:], rec.e_fast[i0:]
         kappa, _, _ = kappa_delta(eps, kmax)
-        fast_norms = [sobolev_norm(_fast_part(st)) for st in states]
         *_, converged = _window_sups(fast_norms)
-        tails = [sobolev_norm(truncate(_fast_part(st), kappa)[1])
+        tails = [sobolev_norm(truncate(st.branch((1, -1)), kappa)[1])
                  for st in states]
         approxes = [ManifoldApprox(domain, kappa, eps, mu, forcing, order=n,
                                    n_cap=max(n_values) + 1)
@@ -264,7 +264,7 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
             for ap, out in zip(approxes, res):
                 # re-embed the graph output on the full lattice
                 Uf = st._with(ap(lo, ctx)._on(st.index))
-                out.append(sobolev_norm(_fast_part(st) - Uf))
+                out.append(sobolev_norm(st.branch((1, -1)) - Uf))
         for n, r in zip(n_values, res):
             report.rows.append(dict(
                 eps=float(eps), n=int(n),
@@ -327,13 +327,8 @@ def gevrey_tail_check(sigma: float, kappa_values, domain=None,
     # kappa itself, so it is done linearly here
     pts = [(r["kappa"], r["tail"]) for r in report.rows if r["tail"] > 0]
     if len(pts) >= 2:
-        ks = np.array([p[0] for p in pts])
-        lt = np.log([p[1] for p in pts])
-        A = np.vstack([ks, np.ones_like(ks)]).T
-        sol, res, _, _ = np.linalg.lstsq(A, lt, rcond=None)
-        report.slope, report.intercept = float(sol[0]), float(sol[1])
-        report.fit_residual = float(np.sqrt(res[0] / len(ks))) if len(res) \
-            else 0.0
+        _fit_line(report, np.array([p[0] for p in pts]),
+                  np.log([p[1] for p in pts]))
     report.passed["slope_within_10pct"] = \
         abs(report.slope + sigma) <= 0.1 * sigma
     report.passed["bounded_C"] = all(

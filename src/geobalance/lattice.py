@@ -437,6 +437,20 @@ def _orbit_transform(x: np.ndarray, neg: np.ndarray) -> np.ndarray:
     return np.where(neg, -x, x)
 
 
+def _orbit_fill(state: SpectralState, unset_absent: bool):
+    """The orbits holding a present slot, their member values x and the
+    constrained values the orbit average of the pullbacks gives them: the
+    average of the present members (``unset_absent``) or of all four."""
+    have = state.mask.ravel()[state.index.orbits]
+    hit = have.any(axis=0)
+    orbits, neg = state.index.orbits[:, hit], state.index.orbit_neg[:, hit]
+    have = have[:, hit] if unset_absent else np.ones(orbits.shape, bool)
+    x = state.array.ravel()[orbits]
+    pull = np.where(have, _orbit_transform(x, neg), 0.0)
+    v = (pull[0] + pull[1] + pull[2] + pull[3]) / have.sum(axis=0)
+    return orbits, x, _orbit_transform(np.broadcast_to(v, orbits.shape), neg)
+
+
 def enforce_reality(state: SpectralState) -> SpectralState:
     """Project onto the reality-constraint set, orbit by orbit.
 
@@ -447,13 +461,7 @@ def enforce_reality(state: SpectralState) -> SpectralState:
     its partners materialized, while an explicitly stored inconsistent
     partner participates in the average.  Idempotent.
     """
-    have = state.mask.ravel()[state.index.orbits]
-    hit = have.any(axis=0)
-    orbits, neg = state.index.orbits[:, hit], state.index.orbit_neg[:, hit]
-    pull = np.where(have[:, hit],
-                    _orbit_transform(state.array.ravel()[orbits], neg), 0.0)
-    v = (pull[0] + pull[1] + pull[2] + pull[3]) / have[:, hit].sum(axis=0)
-    fill = _orbit_transform(np.broadcast_to(v, orbits.shape), neg)
+    orbits, _, fill = _orbit_fill(state, True)
     w = np.zeros(state.array.size, dtype=complex)
     for g in range(4):  # a slot met twice in one orbit keeps the later value
         w[orbits[g]] = fill[g]
@@ -463,12 +471,7 @@ def enforce_reality(state: SpectralState) -> SpectralState:
 
 def check_reality(state: SpectralState) -> float:
     """Max constraint violation, treating absent orbit slots as zero."""
-    hit = state.mask.ravel()[state.index.orbits].any(axis=0)
-    orbits, neg = state.index.orbits[:, hit], state.index.orbit_neg[:, hit]
-    x = state.array.ravel()[orbits]
-    pull = _orbit_transform(x, neg)
-    v = (pull[0] + pull[1] + pull[2] + pull[3]) / 4
-    fill = _orbit_transform(np.broadcast_to(v, orbits.shape), neg)
+    _, x, fill = _orbit_fill(state, False)
     return float(np.abs(x - fill).max(initial=0.0))
 
 

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pathlib
 from dataclasses import fields
 
 import numpy as np
@@ -210,8 +211,8 @@ class TestCommands:
             assert run("simulate", cfg) == 0
             outs.append(cfg.out)
         for fn in ("trajectory.csv", "final_state.snap"):
-            assert (open(os.path.join(outs[0], fn), "rb").read()
-                    == open(os.path.join(outs[1], fn), "rb").read())
+            a, b = (pathlib.Path(out, fn).read_bytes() for out in outs)
+            assert a == b
 
     def test_audit_identities_passes(self, tmp_path, capsys):
         cfg = parse_config("kmax = 2\n")

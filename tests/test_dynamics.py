@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geobalance._engine import mode_table
 from geobalance.dynamics import (DivergenceError, ForcingSpec, SolverConfig,
                                  apply_A, energy_budget, integrate,
                                  reconstruct_fields, tendency)
+from geobalance.experiments import default_forcing
+from geobalance.interactions import pairing
 from geobalance.lattice import (DomainSpec, SpectralState, check_reality,
                                 enforce_reality, random_state, sobolev_norm)
 
@@ -40,6 +43,22 @@ class TestValidation:
         with pytest.raises(ValueError, match="cadence"):
             SolverConfig(eps=0.1, mu=0.1, dt=0.5, t_end=1.0, kmax=2.0,
                          record_every=4)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            SolverConfig(eps=eps, mu=0.1, dt=0.1, t_end=1.0, kmax=2.0)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf])
+    def test_non_finite_mu_rejected(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            SolverConfig(eps=0.1, mu=mu, dt=0.1, t_end=1.0, kmax=2.0)
+
+    @pytest.mark.parametrize("every", [0, 2.5, 0.5, math.nan, math.inf])
+    def test_record_every_must_be_whole(self, every):
+        with pytest.raises(ValueError, match="record_every must be a whole"):
+            SolverConfig(eps=0.1, mu=0.1, dt=0.01, t_end=0.05, kmax=2.0,
+                         record_every=every)
 
     def test_unknown_conv_method_rejected(self):
         with pytest.raises(ValueError, match="convolution method 'bogus'"):
@@ -168,6 +187,21 @@ class TestIntegration:
         assert max(abs(last[k] - w[k]) for k in w) == 0.0
         assert last.t == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("method", ["grid", "direct"])
+    def test_record_columns_are_sobolev_norms(self, method):
+        """Each E_* and H1 column is sobolev_norm of the recorded state,
+        its fast and slow branches and s = 1, bit for bit."""
+        s = random_state(DOM, 3.0, 52, scale=0.5)
+        cfg = SolverConfig(eps=0.1, mu=0.5, dt=0.01, t_end=0.05, kmax=3.0,
+                           conv_method=method)
+        rec, _ = integrate(s, cfg, default_forcing(DOM, 3.0),
+                           keep_states=True)
+        got = np.stack([rec.e_total, rec.e_fast, rec.e_slow, rec.h1], 1)
+        want = [[sobolev_norm(st), sobolev_norm(st.branch((1, -1))),
+                 sobolev_norm(st.branch(0)), sobolev_norm(st, 1.0)]
+                for st in rec.states]
+        assert got.tolist() == want
+
     def test_trajectory_csv(self, tmp_path):
         s = enforce_reality(random_state(DOM, 2.0, 40, scale=0.2))
         cfg = SolverConfig(eps=0.2, mu=0.1, dt=0.1, t_end=0.3, kmax=2.0)
@@ -190,6 +224,19 @@ class TestBudget:
         assert abs(residual) <= 1e-11 * scale
         rec, _ = integrate(s, cfg, f)
         assert np.abs(rec.budget_residual).max() <= 1e-10
+
+    def test_injection_is_the_fast_pairing(self):
+        """The injection term is pairing(f_fast, c_fast) of the lab forcing
+        and the lab state, c = exp(-i omega t / eps) w, bit for bit."""
+        s = random_state(DOM, 3.0, 53, scale=0.5)
+        f = default_forcing(DOM, 3.0)
+        cfg = SolverConfig(eps=0.2, mu=0.3, dt=0.05, t_end=1.0, kmax=3.0)
+        table = mode_table(DOM, 3.0)
+        lab = SpectralState._of(table.index, table.phase(0.3, 0.2) * s.array,
+                                frame="lab")
+        inject = energy_budget(s, f, 0.3, cfg)[3]
+        want = pairing(f.coeffs.branch((1, -1)), lab.branch((1, -1)))
+        assert inject == want.real
 
     def test_budget_follows_conv_method(self, monkeypatch):
         from geobalance._engine import ModeTable
@@ -285,6 +332,13 @@ class TestReconstruct:
         s = SpectralState(DOM, 3.0, {(2, 0, 1, 0): 1.0})
         with pytest.raises(ValueError, match="aliasing"):
             reconstruct_fields(enforce_reality(s), (4, 8, 8))
+
+    def test_numpy_integer_resolution(self):
+        s = enforce_reality(random_state(DOM, 2.0, 54))
+        want = reconstruct_fields(s, 8)
+        got = reconstruct_fields(s, np.int64(8))
+        for name, arr in want.items():
+            assert np.array_equal(got[name], arr)
 
     def test_single_mode_hand_values(self):
         # seed mode (1,0,1) with X0 = (0,-1,1)/sqrt(2); the symmetry orbit

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from geobalance.dynamics import ForcingSpec
+from geobalance.dynamics import ForcingSpec, integrate
 from geobalance.experiments import (ScanReport, balance_scan, default_domain,
                                     default_forcing, gevrey_tail_check,
                                     manifold_scan, oscillation_dt, toy_model)
@@ -120,6 +120,30 @@ class TestBalanceScan:
         assert rep.passed["slope_ge_0.45"]
         assert rep.slope >= 0.45
         assert [r["eps"] for r in rep.rows] == [0.2, 0.1, 0.05]
+
+    def test_sup_fast_reads_the_record(self, monkeypatch):
+        """The scan integrates without kept states; its sups are those of
+        sobolev_norm of the fast part over the window's kept states."""
+        import geobalance.experiments as ex
+
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(ex, "integrate", spy)
+        row = balance_scan([0.1], kmax=2.0, transient=1.0,
+                           window=1.0).rows[0]
+        (args, kwargs), = calls
+        assert not kwargs.get("keep_states")
+        rec, _ = integrate(*args, keep_states=True)
+        n = row["n_samples"]
+        fast = [sobolev_norm(st.branch((1, -1))) for st in rec.states[-n:]]
+        assert n > 1
+        assert row["sup_fast"] == max(fast)
+        assert row["sup_first_half"] == max(fast[:n // 2])
+        assert row["sup_second_half"] == max(fast[n // 2:])
 
     def test_slow_forcing_floor(self):
         f = default_forcing(DOM, kmax=2.0, fast_norm=0.0)
