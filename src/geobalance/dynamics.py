@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._engine import CONV_METHODS, mode_table
-from .lattice import (DomainSpec, SpectralState, _key_sum, check_reality,
+from .lattice import (DomainSpec, SpectralState, _dot, check_reality,
                       sobolev_norm)
 
 __all__ = [
@@ -152,8 +152,15 @@ def apply_A(state: SpectralState, mu: float) -> SpectralState:
 
 
 def _dense_forcing(table, forcing):
+    """The lab-frame forcing coefficients on the rows of ``table``; a
+    forcing on another box is refused, one of another kmax embedded."""
     if forcing is None:
         return np.zeros((3, table.nk), dtype=complex)
+    fd, td = forcing.coeffs.domain, table.domain
+    if fd != td:
+        raise ValueError(f"forcing on the box {fd.L1:g} x {fd.L2:g} x "
+                         f"{fd.L3:g} does not fit the state's box "
+                         f"{td.L1:g} x {td.L2:g} x {td.L3:g}")
     return forcing.coeffs._on(table.index)
 
 
@@ -289,14 +296,14 @@ def _budget_dense(table, w, E, cfg, f, conv, N):
         de_fast + dissipation = transfer + injection
 
     holds up to roundoff (the residual).  Each term is |M| Re sum x
-    conj(c_fast) for some x, summed in key order as ``pairing`` sums.
+    conj(c_fast) for some x, reduced as ``pairing`` reduces.
     """
     c = E * w
     c0 = np.where([[True], [False], [False]], c, 0.0)  # the slow part
-    cfast = np.conj(c - c0)
+    cfast = c - c0
 
     def pair(x):
-        return table.domain.volume * float(_key_sum(x * cfast).real)
+        return table.domain.volume * _dot(x, cfast)
 
     Dc = cfg.mu * table.kabs ** 2 * c
     de = pair(-N - Dc + f)  # the lab tendency minus iL/eps
@@ -310,6 +317,8 @@ def _budget_dense(table, w, E, cfg, f, conv, N):
 def energy_budget(state: SpectralState, forcing: ForcingSpec | None,
                   t: float, cfg: SolverConfig):
     """Term-by-term fast-energy budget; see :func:`_budget_dense`."""
+    if state.frame != "rotated":
+        raise ValueError("energy_budget expects a rotated-frame state")
     table = _table(state, cfg)
     w = state.array
     fdense = _dense_forcing(table, forcing)

@@ -166,6 +166,8 @@ def default_forcing(domain: DomainSpec, kmax: float = DEFAULT_KMAX,
 def oscillation_dt(domain: DomainSpec, kmax: float, eps: float,
                    oversample: int = DEFAULT_OVERSAMPLE) -> float:
     """Time step resolving the fastest retained phase 2 pi eps / omega."""
+    if not oversample >= 1:
+        raise ValueError(f"oversample must be >= 1, got {oversample!r}")
     table = mode_table(domain, kmax)
     omega_max = float(np.abs(table.omega).max())
     return 2.0 * math.pi * eps / (oversample * max(omega_max, 1.0))

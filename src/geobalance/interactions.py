@@ -18,7 +18,7 @@ import numpy as np
 
 from ._engine import (_A3, _B3, _G3, A2I, I2A, R_ROWS, S_ROWS,
                       mode_table)
-from .lattice import SLOW, SpectralState, WaveVector, _key_sum
+from .lattice import SLOW, SpectralState, WaveVector, _dot
 from .modes import _block, _frames
 
 __all__ = [
@@ -73,9 +73,11 @@ def coeff_bounds(domain, j, k, l, case: str) -> float:
 
 
 def pairing(a: SpectralState, b: SpectralState) -> complex:
-    """L^2 pairing |M| * sum_m a_m conj(b_m) over the common lattice."""
+    """L^2 pairing |M| * sum_m a_m conj(b_m) over the common lattice; the
+    imaginary part is Re sum a conj(i b), so both come from float products."""
     a._compat(b)
-    return a.domain.volume * complex(_key_sum(a.array * b.array.conj()))
+    x, y = a.array, b.array
+    return a.domain.volume * complex(_dot(x, y), _dot(x, 1j * y))
 
 
 def apply_B(W: SpectralState, What: SpectralState, frame_time=None,

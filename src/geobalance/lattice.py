@@ -392,30 +392,25 @@ class SpectralState:
         return WaveVector.from_ints(self.domain, key[:3])
 
 
-def _key_sum(x: np.ndarray):
-    """Sum of (3, nk) slots term by term in key order, a running sum: as
-    a loop over the keys, it does not depend on the slot layout."""
-    return np.cumsum(x[_KEY_ORDER].T.ravel())[-1:].sum()
-
-
-def _norm(weight, w: np.ndarray) -> float:
-    """sqrt( sum_k weight_k sum_branches |w_k|^2 ) of a (3, nk) array, with
-    libm's hypot and pow, which numpy's SIMD abs and power do not match bit
-    for bit on every CPU."""
-    sq = np.float_power(np.hypot(w.real, w.imag), 2.0)
-    return math.sqrt(float(_key_sum(weight * sq)))
+def _dot(a: np.ndarray, b: np.ndarray, weight=1.0) -> float:
+    """Re sum weight a conj(b) over two (3, nk) slot arrays: the float
+    products, gathered in key order (so the slot layout does not matter)
+    and summed pairwise by numpy; no complex product sets the bits."""
+    x = weight * (a.real * b.real + a.imag * b.imag)
+    return float(x[_KEY_ORDER].T.ravel().sum())
 
 
 def sobolev_norm(state: SpectralState, s: float = 0.0) -> float:
     """sqrt( sum_k |k|^(2s) sum_branches |w_k|^2 ).  Frame-independent."""
-    return _norm(np.float_power(state.index.kabs, 2.0 * s), state.array)
+    w = state.array
+    return math.sqrt(_dot(w, w, np.float_power(state.index.kabs, 2.0 * s)))
 
 
 def gevrey_norm(state: SpectralState, sigma: float) -> float:
     """Sobolev s=0 norm with exponential weight e^(2*sigma*|k|), from
     libm's exp, which numpy's SIMD exp does not match bit for bit."""
-    x = (2.0 * sigma * state.index.kabs).tolist()
-    return _norm(np.fromiter(map(math.exp, x), float, len(x)), state.array)
+    w, x = state.array, (2.0 * sigma * state.index.kabs).tolist()
+    return math.sqrt(_dot(w, w, np.fromiter(map(math.exp, x), float, len(x))))
 
 
 # -- reality constraints ---------------------------------------------------
@@ -493,8 +488,7 @@ def random_state(domain: DomainSpec, kmax: float, rng=None,
                  slow_only: bool = False) -> SpectralState:
     """Seeded Gaussian coefficients on the full lattice, then projected
     onto the reality-constraint set.  Deterministic for a seeded rng."""
-    if rng is None or isinstance(rng, int):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     index = SpectralState(domain, kmax).index
     mask = np.ones((3, index.nk), dtype=bool)
     mask[1:] = (index.ints[:, 2] != 0) & (not slow_only)

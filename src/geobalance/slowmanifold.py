@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._engine import ModeTable, mode_table
-from .dynamics import ForcingSpec
+from .dynamics import ForcingSpec, _dense_forcing
 from .lattice import DomainSpec, SpectralState, _embed, _index, sobolev_norm
 
 __all__ = [
@@ -73,7 +73,7 @@ class _Ctx:
         self.t = float(state.t if state.frame == "rotated" else 0.0)
         self.E = table.phase(self.t, self.eps)  # rotated -> lab per mode
         # forcing is stored lab-frame; rotated coefficient = f_lab / E
-        fd = forcing.amplitude(self.t) * forcing.coeffs._on(table.index) / self.E
+        fd = forcing.amplitude(self.t) * _dense_forcing(table, forcing) / self.E
         self.f_slow = np.zeros_like(fd)
         self.f_slow[0] = fd[0]
         self.f_fast = fd - self.f_slow
@@ -182,12 +182,15 @@ class ManifoldApprox:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.order < 0:
-            raise ValueError(f"order must be >= 0, got {self.order}")
         if self.n_cap is None:
             _, _, cap = kappa_delta(min(self.eps, 1.0), self.kappa,
                                     eta=self.eta)
             object.__setattr__(self, "n_cap", max(cap, 1))
+        for name in ("order", "n_cap"):
+            v = getattr(self, name)
+            if not (v >= 0 and v % 1 == 0):
+                raise ValueError(f"{name} must be a whole number >= 0, "
+                                 f"got {v!r}")
         if self.order > self.n_cap:
             raise ValueError(
                 f"order {self.order} exceeds iteration cap {self.n_cap}")

@@ -152,6 +152,7 @@ def test_criterion_5_integrator():
                    f"drift {drift:.2e}/10^3 steps, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_balance_envelope():
     t0 = time.time()
     rep = balance_scan([0.1, 0.05, 0.025, 0.0125], kmax=6.0, mu=0.5,
@@ -162,6 +163,7 @@ def test_criterion_6_balance_envelope():
                    f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_slow_manifold():
     t0 = time.time()
     eps, kmax, mu = 0.05, 6.0, 0.5

@@ -13,7 +13,7 @@ from geobalance._engine import mode_table
 from geobalance.dynamics import (DivergenceError, ForcingSpec, SolverConfig,
                                  apply_A, energy_budget, integrate,
                                  reconstruct_fields, tendency)
-from geobalance.experiments import default_forcing
+from geobalance.experiments import default_forcing, oscillation_dt
 from geobalance.interactions import pairing
 from geobalance.lattice import (DomainSpec, SpectralState, check_reality,
                                 enforce_reality, random_state, sobolev_norm)
@@ -99,6 +99,28 @@ class TestValidation:
             integrate(lab, cfg)
         with pytest.raises(ValueError, match="rotated"):
             tendency(lab, 0.0, cfg)
+
+    def test_energy_budget_rejects_lab_frame(self):
+        lab = random_state(DOM, 3.0, 9, frame="lab")
+        cfg = SolverConfig(eps=0.1, mu=0.1, dt=0.1, t_end=0.2, kmax=3.0)
+        with pytest.raises(ValueError, match="rotated"):
+            energy_budget(lab, default_forcing(DOM, 3.0), 0.0, cfg)
+
+    def test_forcing_on_another_box_refused(self):
+        """A forcing is matched to the state by box as well as by integer
+        triple; one of another kmax is embedded."""
+        box = DomainSpec(2.0 * math.pi, 4.0, 3.0)
+        s = SpectralState(DOM, 3.0, {})
+        cfg = SolverConfig(eps=0.1, mu=0.1, dt=0.1, t_end=0.2, kmax=3.0)
+        f = default_forcing(box, 3.0)
+        for run in (lambda: integrate(s, cfg, f),
+                    lambda: tendency(s, 0.0, cfg, f),
+                    lambda: energy_budget(s, f, 0.0, cfg)):
+            with pytest.raises(ValueError, match=r"box 6\.28319 x 4 x 3 .* "
+                               r"box 6\.28319 x 6\.28319 x 6\.28319"):
+                run()
+        rec, _ = integrate(s, cfg, default_forcing(DOM, 2.0))
+        assert rec.e_total[-1] > 0.0
 
     def test_kmax_must_match_the_state(self):
         s = random_state(DOM, 2.0, 9)
@@ -224,6 +246,21 @@ class TestBudget:
         assert abs(residual) <= 1e-11 * scale
         rec, _ = integrate(s, cfg, f)
         assert np.abs(rec.budget_residual).max() <= 1e-10
+
+    def test_default_simulate_residual_at_roundoff(self):
+        """The default `simulate` run (kmax 6, 76 steps): at every record
+        the budget residual is at most 4e-15 of the largest term, with
+        the terms recomputed from the kept state."""
+        f = default_forcing(DOM, 6.0)
+        dt = oscillation_dt(DOM, 6.0, 0.1)
+        cfg = SolverConfig(eps=0.1, mu=0.5, dt=dt, t_end=76 * dt, kmax=6.0)
+        rec, _ = integrate(SpectralState(DOM, 6.0, {}), cfg, f,
+                           keep_states=True)
+        assert len(rec.states) == 77
+        for st, res in zip(rec.states, rec.budget_residual):
+            terms = energy_budget(st, f, st.t, cfg)
+            assert terms[-1] == res
+            assert abs(res) <= 4e-15 * max(map(abs, terms[:4]))
 
     def test_injection_is_the_fast_pairing(self):
         """The injection term is pairing(f_fast, c_fast) of the lab forcing

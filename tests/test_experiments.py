@@ -85,6 +85,16 @@ class TestForcingAndStep:
         assert dt == pytest.approx(2.0 * math.pi * 0.1
                                    / (8.0 * math.sqrt(3.0)), rel=1e-13)
 
+    @pytest.mark.parametrize("oversample", [0, -2, 0.5, math.nan])
+    def test_oscillation_dt_needs_oversample_one(self, oversample):
+        with pytest.raises(ValueError, match="oversample must be >= 1"):
+            oscillation_dt(DOM, 2.0, 0.1, oversample=oversample)
+
+    def test_numpy_integer_seed(self):
+        a = default_forcing(DOM, kmax=3.0, seed=np.int64(3))
+        b = default_forcing(DOM, kmax=3.0, seed=3)
+        assert np.array_equal(a.coeffs.array, b.coeffs.array)
+
 
 class TestScanReport:
     def test_fit_skips_unconverged(self):

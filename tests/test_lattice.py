@@ -1,15 +1,18 @@
 """Lattice enumeration, norms, reality constraints, truncation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geobalance.lattice import (DomainSpec, SpectralState, check_reality,
-                                enforce_reality, gevrey_norm, random_state,
-                                sobolev_norm, truncate, wavevectors)
+from geobalance.interactions import pairing
+from geobalance.lattice import (DomainSpec, SpectralState, _dot,
+                                check_reality, enforce_reality, gevrey_norm,
+                                random_state, sobolev_norm, truncate,
+                                wavevectors)
 
 DOM = DomainSpec()
 
@@ -159,6 +162,19 @@ class TestReality:
         assert max(abs(e2[k] - e[k]) for k in e) <= 1e-15
 
 
+class TestRandomState:
+    def test_seed_kinds_draw_alike(self):
+        """None, int, numpy integer and Generator seeds all go through
+        default_rng; a Generator is used as it is."""
+        want = random_state(DOM, 2.0, 3).array
+        for seed in (np.int64(3), np.uint8(3), np.random.default_rng(3)):
+            assert np.array_equal(random_state(DOM, 2.0, seed).array, want)
+        g = np.random.default_rng(5)
+        first = random_state(DOM, 2.0, g).array
+        assert not np.array_equal(random_state(DOM, 2.0, g).array, first)
+        assert random_state(DOM, 2.0).array.any()
+
+
 class TestTruncate:
     def test_kappa_above_cutoff(self):
         s = random_state(DOM, 2.0, 3)
@@ -196,13 +212,69 @@ class TestTruncate:
             assert tail <= 1.1 * env
 
 
-class TestGevreyBits:
-    def test_equals_libm_loop_exactly(self):
-        # libm's exp, hypot and pow, terms added in key order
-        for seed in range(20):
-            s = random_state(DOM, 4.0, seed)
-            total = 0.0
-            for key, v in s.items():
-                kabs = DOM.wavevector(*key[:3]).kabs
-                total += math.exp(2.0 * 0.5 * kabs) * abs(v) ** 2
-            assert gevrey_norm(s, 0.5) == math.sqrt(total)
+def _products(a, b, weight=None, imag=False):
+    """The float products weight_k (Re a Re b + Im a Im b), or with
+    ``imag`` Im a Re b - Re a Im b, of every lattice slot, built key by
+    key (labels -1, 0, 1 per wavevector); an absent slot counts as 0.0."""
+    out = []
+    for n, l in enumerate(a.index.ints.tolist()):
+        wk = 1.0 if weight is None else float(weight[n])
+        for label in (-1, 0, 1):
+            x, y = a.get((*l, label), 0j), b.get((*l, label), 0j)
+            out.append(wk * (x.imag * y.real - x.real * y.imag if imag
+                             else x.real * y.real + x.imag * y.imag))
+    return out
+
+
+BOXES = (DOM, DomainSpec(2.0 * math.pi, 4.0, 3.0))
+reductions = st.fixed_dictionaries({
+    "box": st.sampled_from(BOXES),
+    "kmax": st.sampled_from([1.5, 2.0, 3.0]),
+    "seeds": st.tuples(st.integers(0, 2 ** 16), st.integers(0, 2 ** 16)),
+    "scale": st.sampled_from([1e-3, 1.0, 1e3]),
+    "branches": st.sampled_from([(0, 1, -1), (0,), (1, -1), (1,)]),
+})
+
+
+def _pair_of_states(d):
+    a = random_state(d["box"], d["kmax"], d["seeds"][0], scale=d["scale"])
+    b = random_state(d["box"], d["kmax"], d["seeds"][1])
+    return a.branch(d["branches"]), b
+
+
+class TestReduction:
+    """Every norm and pairing is numpy's pairwise sum of float products
+    taken in key order: no complex product sets a bit, and no libm call
+    but the weights'."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(reductions)
+    def test_equals_sum_of_float_products(self, d):
+        a, b = _pair_of_states(d)
+        kabs = a.index.kabs
+        for s in (0.0, 1.0, -0.5, 2.0):
+            want = np.sum(_products(a, a, np.float_power(kabs, 2.0 * s)))
+            assert sobolev_norm(a, s) == math.sqrt(want)
+        gw = [math.exp(x) for x in (2.0 * 0.5 * kabs).tolist()]
+        assert gevrey_norm(a, 0.5) == math.sqrt(np.sum(_products(a, a, gw)))
+        want = complex(np.sum(_products(a, b)),
+                       np.sum(_products(a, b, imag=True)))
+        assert pairing(a, b) == a.domain.volume * want
+
+    @settings(max_examples=25, deadline=None)
+    @given(reductions)
+    def test_pairwise_error_bound(self, d):
+        a, b = _pair_of_states(d)
+        kabs = a.index.kabs
+        for y, wt, imag in ((a, np.float_power(kabs, 2.0), False),
+                            (a, np.exp(kabs), False), (b, None, False),
+                            (b, None, True)):
+            terms = _products(a, y, wt, imag)
+            # pairing's imaginary part: Re sum a conj(i b)
+            other = 1j * y.array if imag else y.array
+            got = _dot(a.array, other, 1.0 if wt is None else wt)
+            exact = sum(map(Fraction, terms), Fraction(0))
+            n = len(terms)
+            bound = ((math.ceil(math.log2(n)) + 2) * 2.0 ** -53
+                     * sum(map(abs, terms)))
+            assert abs(Fraction(got) - exact) <= Fraction(bound)

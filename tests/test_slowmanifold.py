@@ -169,6 +169,26 @@ class TestIterate:
         with pytest.raises(ValueError, match="cap"):
             ManifoldApprox(DOM, KAPPA, 0.1, 0.2, f, order=5, n_cap=3)
 
+    @pytest.mark.parametrize("name, order, n_cap",
+                             [("order", 1.5, 3), ("order", -1, 3),
+                              ("n_cap", 1, 2.5), ("n_cap", 0, math.nan)])
+    def test_whole_orders_only(self, name, order, n_cap):
+        """A fractional order would step past 0 in the recursion."""
+        with pytest.raises(ValueError, match=f"{name} must be a whole"):
+            ManifoldApprox(DOM, KAPPA, 0.1, 0.2, _forcing(12), order=order,
+                           n_cap=n_cap)
+
+    def test_fractional_scan_order_refused(self):
+        with pytest.raises(ValueError, match="order must be a whole"):
+            manifold_scan([0.1], [1.5], kmax=2.0, transient=0.1, window=0.1)
+
+    def test_forcing_on_another_box_refused(self):
+        f = ForcingSpec(enforce_reality(random_state(
+            DomainSpec(2.0 * math.pi, 4.0, 3.0), KMAX, 12, frame="lab")))
+        ap = ManifoldApprox(DOM, KAPPA, 0.1, 0.2, f, order=1, n_cap=2)
+        with pytest.raises(ValueError, match="does not fit the state's box"):
+            ap(_slow_state(13))
+
     def test_jet_matches_finite_difference(self):
         W = _slow_state(13, scale=0.4)
         d = _slow_state(14, scale=1.0)
