@@ -52,12 +52,13 @@ modes and ``conv_grid`` above, whichever measured faster.
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import (A2I, I2A, DomainSpec, SpectralState, _frequencies,
-                      _index)
+from .lattice import (A2I, I2A, DomainSpec, SpectralState, _embed,
+                      _frequencies, _index)
 from .modes import _frames
 
 CONV_METHODS = ("auto", "direct", "grid")
@@ -116,6 +117,15 @@ def _row_blocks(J: np.ndarray, n: int):
     return (J[i:i + step] for i in range(0, len(J), step))
 
 
+def _check_frame_time(t: float, eps: float) -> None:
+    """Refuse a frame time t that is not finite or an eps that is not
+    finite and > 0: the phases exp(-i omega t / eps) would not be."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and > 0, got {eps!r}")
+
+
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (keeps FFTs fast without scipy)."""
     while True:
@@ -171,11 +181,29 @@ class ModeTable:
         self._grid = None
 
     def dense(self, state: SpectralState) -> np.ndarray:
-        """The state's (read-only) slot array, on this table's rows."""
-        return state._on(self.index)
+        """The state's slots on this table's rows (see ``lattice._embed``);
+        rows match by integer triple, so a state on another box is refused."""
+        a, b = state.domain, self.domain
+        if a != b:
+            raise ValueError(
+                f"input on the box {a.L1:g} x {a.L2:g} x {a.L3:g} does not "
+                f"fit the state's box {b.L1:g} x {b.L2:g} x {b.L3:g}")
+        return _embed(state.array, state.index, self.index)
+
+    def state(self, w: np.ndarray, frame: str = "rotated", t: float = 0.0,
+              mask=None) -> SpectralState:
+        """Rows w (and ``mask``, else the nonzero slots) as a state on the
+        (domain, kmax) lattice; a strict table's rows are re-embedded."""
+        full = _index(self.domain, self.kmax, False) if self.strict \
+            else self.index
+        mask = mask if mask is None else _embed(mask, self.index, full)
+        return SpectralState._of(full, _embed(w, self.index, full), mask,
+                                 frame, t)
 
     def phase(self, t: float, eps: float) -> np.ndarray:
-        """exp(-i omega t / eps), shape (3, nk); converts rotated -> lab."""
+        """exp(-i omega t / eps), shape (3, nk); converts rotated -> lab.
+        Refuses a time or eps that would give non-finite phases."""
+        _check_frame_time(t, eps)
         return np.exp(-1j * self.omega * (t / eps))
 
     # -- the triad engine --------------------------------------------------

@@ -152,16 +152,10 @@ def apply_A(state: SpectralState, mu: float) -> SpectralState:
 
 
 def _dense_forcing(table, forcing):
-    """The lab-frame forcing coefficients on the rows of ``table``; a
-    forcing on another box is refused, one of another kmax embedded."""
+    """The lab-frame forcing coefficients on the rows of ``table``."""
     if forcing is None:
         return np.zeros((3, table.nk), dtype=complex)
-    fd, td = forcing.coeffs.domain, table.domain
-    if fd != td:
-        raise ValueError(f"forcing on the box {fd.L1:g} x {fd.L2:g} x "
-                         f"{fd.L3:g} does not fit the state's box "
-                         f"{td.L1:g} x {td.L2:g} x {td.L3:g}")
-    return forcing.coeffs._on(table.index)
+    return table.dense(forcing.coeffs)
 
 
 def _forcing_at(fdense, forcing, t):
@@ -204,7 +198,7 @@ def tendency(state: SpectralState, t: float, cfg: SolverConfig,
     E = table.phase(t, cfg.eps)
     out = (_rhs(_square(w, E, conv), E, _forcing_at(fdense, forcing, t))
            - cfg.mu * table.kabs ** 2 * w)
-    return SpectralState._of(table.index, out, frame=state.frame, t=t)
+    return table.state(out, state.frame, t)
 
 
 def integrate(state0: SpectralState, cfg: SolverConfig,
@@ -236,7 +230,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     def record(t, w, E, f):
         """Append the diagnostics of w; returns its product N, which the
         next step's first stage reuses."""
-        st = SpectralState._of(table.index, w, t=t)
+        st = table.state(w, t=t)
         if keep_states:  # w is never written in place
             states.append(st)
         times.append(t)
@@ -282,7 +276,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
                            e_fast=np.array(ef), e_slow=np.array(es),
                            h1=np.array(h1), budget_residual=np.array(br),
                            states=states)
-    return rec, SpectralState._of(table.index, w, t=t0 + nsteps * h)
+    return rec, table.state(w, t=t0 + nsteps * h)
 
 
 def _budget_dense(table, w, E, cfg, f, conv, N):

@@ -186,7 +186,12 @@ def _window_sups(vals):
 def _run_to_window(domain, kmax, eps, mu, forcing, transient, window,
                    oversample, keep_states=False):
     """Integrate from rest; return the trajectory record and the index of
-    its first sample in the window."""
+    its first sample in the window, which must hold one."""
+    if not (math.isfinite(window) and window > 0):
+        raise ValueError(f"window must be finite and > 0, got {window!r}")
+    if not (math.isfinite(transient) and transient >= 0):
+        raise ValueError(f"transient must be finite and >= 0, "
+                         f"got {transient!r}")
     dt = oscillation_dt(domain, kmax, eps, oversample)
     nt = int(math.ceil(transient / dt))
     nw = int(math.ceil(window / dt))
@@ -241,6 +246,7 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
     if not forcing.steady:
         raise ValueError("manifold scan requires steady forcing")
     window = window if window is not None else transient
+    full = mode_table(domain, kmax)
     report = ScanReport(
         kind="manifold-scan", eps_values=list(eps_values),
         n_values=list(n_values),
@@ -257,16 +263,15 @@ def manifold_scan(eps_values, n_values, domain=None, kmax=DEFAULT_KMAX,
                  for st in states]
         approxes = [ManifoldApprox(domain, kappa, eps, mu, forcing, order=n,
                                    n_cap=max(n_values) + 1)
-                    for n in n_values]
+                    for n in n_values]  # each checks its order
         res = [[] for _ in n_values]
-        for st in states:
+        for st in states if approxes else ():
             lo, _ = truncate(st, kappa)
+            fast = st.branch((1, -1))
             # every order at one sample shares one context and its products
-            ctx = approxes[0]._ctx(lo) if approxes else None
-            for ap, out in zip(approxes, res):
-                # re-embed the graph output on the full lattice
-                Uf = st._with(ap(lo, ctx)._on(st.index))
-                out.append(sobolev_norm(st.branch((1, -1)) - Uf))
+            for u, out in zip(approxes[0]._rows(lo, n_values), res):
+                U = full.dense(approxes[0].table.state(u))  # on st's rows
+                out.append(sobolev_norm(fast - st._with(U)))
         for n, r in zip(n_values, res):
             report.rows.append(dict(
                 eps=float(eps), n=int(n),

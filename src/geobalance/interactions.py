@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._engine import (_A3, _B3, _G3, A2I, I2A, R_ROWS, S_ROWS,
-                      mode_table)
+                      _check_frame_time, mode_table)
 from .lattice import SLOW, SpectralState, WaveVector, _dot
 from .modes import _block, _frames
 
@@ -99,7 +99,7 @@ def apply_B(W: SpectralState, What: SpectralState, frame_time=None,
         out = conv(E * w, E * what) / E
     else:
         out = conv(w, what)
-    return SpectralState._of(table.index, out, frame=W.frame, t=W.t)
+    return table.state(out, W.frame, W.t)
 
 
 def apply_B_slow(W, What, frame_time=None, method="auto") -> SpectralState:
@@ -130,6 +130,9 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
             key = (*st.index.ints[np.argmax(st.mask[0])].tolist(), SLOW)
             raise ValueError(f"apply_Bomega: {name} input has slow "
                              f"content at {key!r}")
+    if frame_time is not None:
+        t, eps = frame_time
+        _check_frame_time(t, eps)
     table = mode_table(We.domain, We.kmax)
     w, wh = We.array, Whate.array
     has_w, has_wh = We.mask, Whate.mask
@@ -144,7 +147,6 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
             val = (0.5j * b.csum / b.wsum * w[R_ROWS, b.J]
                    * wh[S_ROWS, b.K])
         if frame_time is not None:
-            t, eps = frame_time
             # in place, so val stays the first factor: numpy's complex
             # product is not bitwise commutative, and past 256 KiB it
             # evaluates val * (temporary) as (temporary) *= val
@@ -155,8 +157,7 @@ def apply_Bomega(We: SpectralState, Whate: SpectralState,
         hit[b.L[keep.any(axis=0)]] = True
     mask = np.zeros((3, table.nk), dtype=bool)
     mask[0] = hit  # acc is zero off the hit rows
-    return SpectralState._of(table.index, np.where(mask, acc, 0.0), mask,
-                             We.frame, We.t)
+    return table.state(np.where(mask, acc, 0.0), We.frame, We.t, mask)
 
 
 def dump_coeffs_csv(domain, kmax: float, path) -> int:

@@ -307,10 +307,6 @@ class SpectralState:
         st._set(index, w, w != 0 if mask is None else mask, frame, t)
         return st
 
-    def _on(self, index: LatticeIndex) -> np.ndarray:
-        """The slots on the rows of ``index`` (see :func:`_embed`)."""
-        return _embed(self.array, self.index, index)
-
     def _with(self, w, mask=None, frame=None, t=None) -> "SpectralState":
         return SpectralState._of(self.index, w, mask,
                                  self.frame if frame is None else frame,

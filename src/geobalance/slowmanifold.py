@@ -24,14 +24,13 @@ rotated frame; phases are taken at the evaluation state's own time stamp.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ._engine import ModeTable, mode_table
 from .dynamics import ForcingSpec, _dense_forcing
-from .lattice import DomainSpec, SpectralState, _embed, _index, sobolev_norm
+from .lattice import DomainSpec, SpectralState, sobolev_norm
 
 __all__ = [
     "ManifoldApprox",
@@ -67,8 +66,6 @@ class _Ctx:
                  state: SpectralState):
         self.table = table
         self.eps = float(eps)
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be finite and > 0, got {eps!r}")
         self.mu = float(mu)
         self.t = float(state.t if state.frame == "rotated" else 0.0)
         self.E = table.phase(self.t, self.eps)  # rotated -> lab per mode
@@ -112,13 +109,6 @@ class _Ctx:
                     continue
                 out[i | j] += self.conv(ai, b[j])
         return out
-
-
-def _state(table: ModeTable, w: np.ndarray, frame, t) -> SpectralState:
-    """Table-row coefficients as a state on the (domain, table.kmax) lattice."""
-    index = _index(table.domain, table.kmax, False)
-    return SpectralState._of(index, _embed(w, table.index, index), None,
-                             frame, t)
 
 
 def _slow(j):
@@ -199,18 +189,21 @@ class ManifoldApprox:
     def table(self) -> ModeTable:
         return mode_table(self.domain, self.kappa, strict=True)
 
-    def _ctx(self, state: SpectralState) -> _Ctx:
-        return _Ctx(self.table, self.eps, self.mu, self.forcing, state)
+    def _at(self, state: SpectralState):
+        """The context at ``state`` and its slow rows J, shape (1, 3, nk)."""
+        return (_Ctx(self.table, self.eps, self.mu, self.forcing, state),
+                _slow(self.table.dense(state))[None])
 
-    def __call__(self, state: SpectralState, ctx: _Ctx | None = None
-                 ) -> SpectralState:
-        """U^n at ``state``.  ``ctx``, when given, is the context of an
-        evaluator with the same table, eps, mu and forcing at this state:
-        its products are shared with the other calls that use it."""
-        ctx = self._ctx(state) if ctx is None else ctx
-        J = _slow(state._on(self.table.index))[None]
-        out = _eval_u(ctx, self.order, J)[0]
-        return _state(self.table, out, state.frame, state.t)
+    def _rows(self, state: SpectralState, orders) -> list:
+        """U^n at ``state`` as table rows, for each n in ``orders``, from
+        one context: each order reuses the lower orders' products."""
+        ctx, J = self._at(state)
+        return [_eval_u(ctx, n, J)[0] for n in orders]
+
+    def __call__(self, state: SpectralState) -> SpectralState:
+        """U^n at ``state``."""
+        u, = self._rows(state, (self.order,))
+        return self.table.state(u, state.frame, state.t)
 
     def jet(self, state: SpectralState, directions):
         """Evaluate U^n and its exact directional derivatives.
@@ -219,13 +212,13 @@ class ManifoldApprox:
         """
         dirs = list(directions)
         d = len(dirs)
-        ctx = self._ctx(state)
-        J = np.zeros((1 << d, 3, self.table.nk), dtype=complex)
-        J[0] = _slow(state._on(self.table.index))
+        (ctx, J0), table = self._at(state), self.table
+        J = np.zeros((1 << d, 3, table.nk), dtype=complex)
+        J[0] = J0[0]
         for i, dv in enumerate(dirs):
-            J[1 << i] = _slow(dv._on(self.table.index))
+            J[1 << i] = _slow(table.dense(dv))
         out = _eval_u(ctx, self.order, J)
-        mk = lambda w: _state(self.table, w, state.frame, state.t)
+        mk = lambda w: table.state(w, state.frame, state.t)
         return mk(out[0]), [mk(out[1 << i]) for i in range(d)]
 
     def remainder(self, state: SpectralState) -> SpectralState:
@@ -247,10 +240,9 @@ def g_of(W0: SpectralState, U: SpectralState, forcing: ForcingSpec,
         kappa = W0.kmax * (1 + 1e-9)
     table = mode_table(W0.domain, kappa, strict=True)
     ctx = _Ctx(table, eps, mu, forcing, W0)
-    J = W0._on(table.index)[None]
-    WU = J + U._on(table.index)
-    return _state(table, _tendency(ctx, J, ctx.jet_B(WU, WU))[0], W0.frame,
-                  W0.t)
+    J = table.dense(W0)[None]
+    WU = J + table.dense(U)
+    return table.state(_tendency(ctx, J, ctx.jet_B(WU, WU))[0], W0.frame, W0.t)
 
 
 def iterate(approx: ManifoldApprox) -> ManifoldApprox:
@@ -266,16 +258,15 @@ def remainder_direct(approx: ManifoldApprox, state: SpectralState
                      ) -> SpectralState:
     """R^n = (DU^n) G^n + (1/eps) L U^n + B_fast(W+U^n, W+U^n)
     + A U^n - f_fast, all on the truncated lattice."""
-    return _remainder(approx._ctx(state), approx.order, state)
+    R = _remainder(*approx._at(state), approx.order)
+    return approx.table.state(R, state.frame, state.t)
 
 
-def _remainder(ctx: _Ctx, n: int, state: SpectralState) -> SpectralState:
-    """R^n at ``state``, in its context ``ctx``."""
-    table = ctx.table
-    U, BWU, DUG = _step(ctx, n, _slow(state._on(table.index))[None])
-    R = (DUG[0] + (1j * table.omega) / ctx.eps * U[0] + _fast(BWU)[0]
-         + ctx.diff * U[0] - ctx.f_fast)
-    return _state(table, R, state.frame, state.t)
+def _remainder(ctx: _Ctx, J: np.ndarray, n: int) -> np.ndarray:
+    """R^n as table rows at the slow rows J[0], in their context ``ctx``."""
+    U, BWU, DUG = _step(ctx, n, J)
+    return (DUG[0] + (1j * ctx.table.omega) / ctx.eps * U[0] + _fast(BWU)[0]
+            + ctx.diff * U[0] - ctx.f_fast)
 
 
 def remainder_diff(approx_n: ManifoldApprox, approx_np1: ManifoldApprox,
@@ -287,11 +278,10 @@ def remainder_diff(approx_n: ManifoldApprox, approx_np1: ManifoldApprox,
             raise ValueError(f"mismatched {attr} between orders")
     if approx_np1.order != approx_n.order + 1:
         raise ValueError("orders must be consecutive")
-    ctx = approx_n._ctx(state)
-    dU = approx_n(state, ctx) - approx_np1(state, ctx)
+    Un, Un1 = approx_n._rows(state, (approx_n.order, approx_np1.order))
     table = approx_n.table
-    return _state(table, (1j * table.omega / approx_n.eps) * dU._on(table.index),
-                  state.frame, state.t)
+    return table.state((1j * table.omega / approx_n.eps) * (Un - Un1),
+                       state.frame, state.t)
 
 
 def contraction_scan(state: SpectralState, forcing: ForcingSpec, mu: float,
@@ -302,12 +292,13 @@ def contraction_scan(state: SpectralState, forcing: ForcingSpec, mu: float,
     eps in the list for which the norms decrease strictly (None if none).
     """
     table = mode_table(state.domain, kappa, strict=True)
+    J = _slow(table.dense(state))[None]
     rows = []
     thresh = None
     for eps in sorted(eps_list):
         # one context per eps: each order reuses the lower orders' products
         ctx = _Ctx(table, eps, mu, forcing, state)
-        norms = [sobolev_norm(_remainder(ctx, n, state))
+        norms = [sobolev_norm(table.state(_remainder(ctx, J, n)))
                  for n in range(n_hi + 1)]
         rows.append((eps, norms))
         if all(b < a for a, b in zip(norms, norms[1:])):

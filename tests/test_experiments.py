@@ -186,6 +186,33 @@ class TestManifoldScan:
             manifold_scan([0.1], [0, 1], kmax=2.0, forcing=mod)
 
 
+class TestScanWindow:
+    """Both scans measure over a window after a transient: a window that
+    holds no sample, or a transient that is negative or not finite, is
+    refused before anything is integrated."""
+
+    @pytest.mark.parametrize("window", [-0.3, 0.0, math.nan, math.inf])
+    def test_balance_scan_window(self, window):
+        with pytest.raises(ValueError, match="window must be finite and > 0"):
+            balance_scan([0.1], kmax=2.0, transient=0.5, window=window)
+
+    @pytest.mark.parametrize("window", [-0.3, 0.0, math.nan, math.inf])
+    def test_manifold_scan_window(self, window):
+        with pytest.raises(ValueError, match="window must be finite and > 0"):
+            manifold_scan([0.1], [0, 1], kmax=2.0, transient=0.5,
+                          window=window)
+
+    @pytest.mark.parametrize("transient", [-0.5, math.nan, math.inf])
+    def test_transient(self, transient):
+        for scan in (lambda: balance_scan([0.1], kmax=2.0,
+                                          transient=transient, window=0.5),
+                     lambda: manifold_scan([0.1], [0, 1], kmax=2.0,
+                                           transient=transient, window=0.5)):
+            with pytest.raises(ValueError,
+                               match="transient must be finite and >= 0"):
+                scan()
+
+
 class TestGevreyTail:
     def test_slope_matches_envelope_rate(self):
         rep = gevrey_tail_check(0.5, [2.0, 3.0, 4.0, 5.0])

@@ -254,6 +254,28 @@ def _assert_matches_loop(we, wh, frame_time=None):
     return want
 
 
+class TestFrameTime:
+    """``frame_time = (t, eps)`` gives the phases exp(-i omega t / eps):
+    both operators refuse a t that is not finite and an eps that is not
+    finite and > 0, through the check of ``ModeTable.phase``."""
+
+    BAD = [((0.3, math.nan), "eps"), ((0.3, math.inf), "eps"),
+           ((0.3, 0.0), "eps"), ((0.3, -0.1), "eps"),
+           ((math.inf, 0.1), "t"), ((math.nan, 0.1), "t")]
+
+    @pytest.mark.parametrize("frame_time, name", BAD)
+    def test_apply_B(self, frame_time, name):
+        w = random_state(DOM, 2.0, 30)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            apply_B(w, w, frame_time=frame_time)
+
+    @pytest.mark.parametrize("frame_time, name", BAD)
+    def test_apply_Bomega(self, frame_time, name):
+        we = random_state(DOM, 2.0, 31).branch((1, -1))
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            apply_Bomega(we, we, frame_time=frame_time)
+
+
 class TestApplyBomegaAgainstLoop:
     @pytest.mark.parametrize("dom,kmax", [
         (DOM, 2.0), (DOM, 3.0), (DomainSpec(2 * math.pi, 4.0, 3.0), 2.5)])

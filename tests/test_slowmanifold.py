@@ -244,6 +244,18 @@ class TestRemainder:
             num = sobolev_norm(direct - diff)
             assert num <= 1e-12 * max(1.0, sobolev_norm(direct))
 
+    def test_diff_is_the_order_difference_bit_for_bit(self):
+        W = _slow_state(21, scale=0.4)
+        f = _forcing(22)
+        a_n, a_n1 = (ManifoldApprox(DOM, KAPPA, 0.1, 0.3, f, order=n,
+                                    n_cap=4) for n in (1, 2))
+        table = a_n.table
+        want = table.state((1j * table.omega / a_n.eps)
+                           * (table.dense(a_n(W)) - table.dense(a_n1(W))))
+        got = remainder_diff(a_n, a_n1, W)
+        assert got.array.tobytes() == want.array.tobytes()
+        assert np.array_equal(got.mask, want.mask)
+
     def test_diff_validates_configuration(self):
         f = _forcing(23)
         a1 = ManifoldApprox(DOM, KAPPA, 0.1, 0.3, f, order=1, n_cap=4)
@@ -290,6 +302,36 @@ class TestEpsValidation:
                             n_cap=2)
         with pytest.raises(ValueError, match=f"eps must be .* got {eps!r}"):
             ap(_slow_state(31))
+
+
+class TestBoxCheck:
+    """Table rows are matched to a state by integer triple, so every
+    manifold entry point refuses a state or direction from another box
+    (at ``ModeTable.dense``), naming both boxes."""
+
+    BOX = DomainSpec(2.0 * math.pi, 4.0, 3.0)
+
+    def _other(self, seed):
+        return enforce_reality(random_state(self.BOX, KMAX, seed, scale=0.5,
+                                            slow_only=True))
+
+    def test_every_entry_point_refuses(self):
+        f = _forcing(32)
+        ap = [ManifoldApprox(DOM, KAPPA, 0.1, 0.3, f, order=n, n_cap=3)
+              for n in (1, 2)]
+        W, X = _slow_state(33), self._other(34)
+        for run in (lambda: ap[0](X),
+                    lambda: ap[0].jet(X, [W]),
+                    lambda: ap[0].jet(W, [X]),
+                    lambda: remainder_direct(ap[0], X),
+                    lambda: remainder_diff(ap[0], ap[1], X),
+                    lambda: g_of(X, _zero(), f, mu=0.3),
+                    lambda: g_of(W, X, f, mu=0.3),
+                    lambda: contraction_scan(X, f, 0.3, [0.1], KAPPA)):
+            with pytest.raises(ValueError, match="does not fit") as err:
+                run()
+            assert "box 6.28319 x 4 x 3" in str(err.value)
+            assert "box 6.28319 x 6.28319 x 6.28319" in str(err.value)
 
 
 class TestProductsOncePerCall:
