@@ -21,7 +21,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import __version__
-from .dynamics import ForcingSpec, SolverConfig, _whole_steps, integrate
+from .dynamics import (ForcingSpec, SolverConfig, _lab_frame, _whole_steps,
+                       integrate)
 from .experiments import (DEFAULT_KMAX, DEFAULT_MU, DEFAULT_OVERSAMPLE,
                           DEFAULT_SEED, DEFAULT_TRANSIENT, balance_scan,
                           default_forcing, manifold_scan, oscillation_dt,
@@ -168,15 +169,9 @@ def _validate(cfg: RunConfig):
 
 
 def _read_forcing(path) -> SpectralState:
-    """The forcing snapshot at ``path`` as lab-frame coefficients.  A
-    rotated snapshot is accepted only at t = 0, where the frames agree:
-    elsewhere its wave phases depend on epsilon, which it does not store."""
-    st = read_snapshot(path)
-    if st.frame != "lab" and st.t != 0.0:
-        raise ValueError(f"a {st.frame!r} snapshot at t = {st.t:.17g} has "
-                         f"no lab-frame coefficients without epsilon; "
-                         f"give a 'lab' snapshot or one at t = 0")
-    return st.replace(frame="lab")
+    """The forcing snapshot at ``path`` as lab-frame coefficients; a
+    rotated snapshot is accepted only at t = 0 (``_lab_frame``)."""
+    return _lab_frame(read_snapshot(path))
 
 
 def default_config_path() -> str:

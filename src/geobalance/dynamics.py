@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import CONV_METHODS, mode_table
+from ._engine import CONV_METHODS, REAL_TOL, mode_table
 from .lattice import (DomainSpec, SpectralState, _dot, check_reality,
                       sobolev_norm)
 
@@ -49,8 +49,9 @@ class ForcingSpec:
     ``coeffs`` holds lab-frame coefficients (no wave-phase factor); the
     optional ``modulation`` is a scalar function of time multiplying all
     of them (e.g. a sinusoid), None meaning steady.  The coefficients must
-    satisfy the same reality constraints as states; fast components at
-    k3 = 0 are structurally impossible.
+    satisfy the same reality constraints as states, to ``REAL_TOL`` of
+    the largest (the tolerance of the kernels' real-field products);
+    fast components at k3 = 0 are structurally impossible.
     """
 
     coeffs: SpectralState
@@ -58,10 +59,10 @@ class ForcingSpec:
 
     def __post_init__(self):
         viol = check_reality(self.coeffs)
-        scale = max(1.0, float(np.abs(self.coeffs.array).max(initial=0.0)))
-        if viol > 1e-10 * scale:
+        if viol > REAL_TOL * np.abs(self.coeffs.array).max(initial=0.0):
             raise ValueError(
-                f"forcing violates reality constraints (defect {viol:g})")
+                f"forcing violates reality constraints (defect {viol:g}); "
+                f"project it with enforce_reality")
 
     @property
     def steady(self) -> bool:
@@ -95,8 +96,8 @@ class SolverConfig:
             raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if not (self.mu >= 0 and math.isfinite(self.mu)):
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
-        if not self.dt > 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
         if not self.kmax > 0:
             raise ValueError(f"kmax must be > 0, got {self.kmax}")
         if self.conv_method not in CONV_METHODS:
@@ -151,17 +152,14 @@ def apply_A(state: SpectralState, mu: float) -> SpectralState:
     return state._with(mu * state.index.kabs ** 2 * state.array, state.mask)
 
 
-def _dense_forcing(table, forcing):
-    """The lab-frame forcing coefficients on the rows of ``table``."""
-    if forcing is None:
-        return np.zeros((3, table.nk), dtype=complex)
-    return table.dense(forcing.coeffs)
-
-
-def _forcing_at(fdense, forcing, t):
-    """The lab-frame forcing coefficients at time t."""
-    return fdense if forcing is None or forcing.modulation is None \
-        else fdense * forcing.amplitude(t)
+def _forcing_rows(table, forcing):
+    """t -> the lab-frame forcing coefficients on the rows of ``table``:
+    zero for None, else ``forcing.coeffs`` times its amplitude at t."""
+    rows = np.zeros((3, table.nk), dtype=complex) if forcing is None \
+        else table.dense(forcing.coeffs)
+    if forcing is None or forcing.steady:
+        return lambda t: rows
+    return lambda t: rows * forcing.amplitude(t)
 
 
 def _square(w, E, conv):
@@ -178,26 +176,25 @@ def _rhs(N, E, f):
     return (f - N) / E
 
 
-def _table(state: SpectralState, cfg: SolverConfig):
-    """The mode table of ``state``'s lattice, which ``cfg.kmax`` must name."""
+def _inputs(state: SpectralState, cfg: SolverConfig, forcing, name: str):
+    """The mode table, kernel and forcing rows (``_forcing_rows``) of the
+    entry point ``name`` at ``state``, which must be rotated-frame and on
+    the lattice that ``cfg.kmax`` names."""
+    if state.frame != "rotated":
+        raise ValueError(f"{name} expects a rotated-frame state")
     if cfg.kmax != state.kmax:
         raise ValueError(f"SolverConfig kmax = {cfg.kmax!r} differs from the "
                          f"state's kmax = {state.kmax!r}")
-    return mode_table(state.domain, state.kmax)
+    table = mode_table(state.domain, state.kmax)
+    return table, table.conv(cfg.conv_method), _forcing_rows(table, forcing)
 
 
 def tendency(state: SpectralState, t: float, cfg: SolverConfig,
              forcing: ForcingSpec | None = None) -> SpectralState:
     """Full rotated-frame tendency dw/dt, including dissipation."""
-    if state.frame != "rotated":
-        raise ValueError("tendency expects a rotated-frame state")
-    table = _table(state, cfg)
-    w = state.array
-    fdense = _dense_forcing(table, forcing)
-    conv = table.conv(cfg.conv_method)
-    E = table.phase(t, cfg.eps)
-    out = (_rhs(_square(w, E, conv), E, _forcing_at(fdense, forcing, t))
-           - cfg.mu * table.kabs ** 2 * w)
+    table, conv, f = _inputs(state, cfg, forcing, "tendency")
+    w, E = state.array, table.phase(t, cfg.eps)
+    out = _rhs(_square(w, E, conv), E, f(t)) - cfg.mu * table.kabs ** 2 * w
     return table.state(out, state.frame, t)
 
 
@@ -211,12 +208,8 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
     the exponentially rescaled variable, giving fourth-order accuracy in
     the nonlinear terms.  Deterministic for fixed config.
     """
-    if state0.frame != "rotated":
-        raise ValueError("integrate expects a rotated-frame initial state")
-    table = _table(state0, cfg)
+    table, conv, forcing_at = _inputs(state0, cfg, forcing, "integrate")
     w = state0.array
-    fdense = _dense_forcing(table, forcing)
-    conv = table.conv(cfg.conv_method)
     h = cfg.dt
     D = cfg.mu * table.kabs ** 2
     ea = np.exp(-0.5 * h * D)
@@ -243,7 +236,7 @@ def integrate(state0: SpectralState, cfg: SolverConfig,
         return N
 
     def at(t):  # phase and forcing, once per distinct stage time
-        return table.phase(t, cfg.eps), _forcing_at(fdense, forcing, t)
+        return table.phase(t, cfg.eps), forcing_at(t)
 
     # t + h/2 serves stages 2 and 3; the end-of-step time serves stage 4,
     # the record and the next step's stage 1, which takes the record's
@@ -311,14 +304,20 @@ def _budget_dense(table, w, E, cfg, f, conv, N):
 def energy_budget(state: SpectralState, forcing: ForcingSpec | None,
                   t: float, cfg: SolverConfig):
     """Term-by-term fast-energy budget; see :func:`_budget_dense`."""
-    if state.frame != "rotated":
-        raise ValueError("energy_budget expects a rotated-frame state")
-    table = _table(state, cfg)
-    w = state.array
-    fdense = _dense_forcing(table, forcing)
-    E, conv = table.phase(t, cfg.eps), table.conv(cfg.conv_method)
-    return _budget_dense(table, w, E, cfg, _forcing_at(fdense, forcing, t),
-                         conv, _square(w, E, conv))
+    table, conv, f = _inputs(state, cfg, forcing, "energy_budget")
+    w, E = state.array, table.phase(t, cfg.eps)
+    return _budget_dense(table, w, E, cfg, f(t), conv, _square(w, E, conv))
+
+
+def _lab_frame(state: SpectralState) -> SpectralState:
+    """``state`` as lab-frame coefficients.  A rotated state is accepted
+    only at t = 0, where the frames agree: elsewhere its wave phases
+    depend on epsilon, which it does not store."""
+    if state.frame != "lab" and state.t != 0.0:
+        raise ValueError(f"a {state.frame!r} snapshot at t = {state.t:.17g} "
+                         f"has no lab-frame coefficients without epsilon; "
+                         f"give a 'lab' snapshot or one at t = 0")
+    return state.replace(frame="lab")
 
 
 def reconstruct_fields(state: SpectralState, resolution) -> dict:
@@ -333,10 +332,12 @@ def reconstruct_fields(state: SpectralState, resolution) -> dict:
     pressure from the horizontal velocity average,
     p_avg_l = i (l2 v1 - l1 v2)/|l'|^2 on l3 = 0 modes (leading order).
     The z grid is symmetric about 0, so the even/odd symmetries of the
-    fields are directly visible on it.
+    fields are directly visible on it.  A rotated-frame state is refused
+    unless t = 0, where its coefficients are the lab-frame ones.
     """
     from .modes import _vectors
 
+    state = _lab_frame(state)
     if np.ndim(resolution) == 0:
         dims = (operator.index(resolution),) * 3
     else:

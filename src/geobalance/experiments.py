@@ -10,6 +10,7 @@ converged points enter the fit.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -126,6 +127,10 @@ def toy_model(eps: float, mu: float, f: complex, T: float, dt: float,
     x_{n+1} = e^{-lam dt} x_n + f (1 - e^{-lam dt}) / lam with
     lam = i/eps + mu; the fixed point is U = eps f / (eps mu + i).
     """
+    for name, v in (("eps", eps), ("mu", mu), ("dt", dt), ("f", f),
+                    ("x0", x0)):
+        if not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
     if not (eps > 0 and mu > 0 and dt > 0):
         raise ValueError("eps, mu, dt must all be > 0")
     nstep = _whole_steps(T, dt) if T >= 0 else None

@@ -19,7 +19,9 @@ No finite differencing enters the construction, so the algebraic identity
 between the direct remainder and the order difference holds to rounding.
 
 Everything lives on the strictly truncated lattice |k| < kappa and in the
-rotated frame; phases are taken at the evaluation state's own time stamp.
+rotated frame; phases are taken at the evaluation state's own time stamp
+(at 0 for a lab-frame state), and the forcing at that stamp in either
+frame, read as the march reads it: None is zero forcing.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._engine import ModeTable, mode_table
-from .dynamics import ForcingSpec, _dense_forcing
+from .dynamics import ForcingSpec, _forcing_rows
 from .lattice import DomainSpec, SpectralState, sobolev_norm
 
 __all__ = [
@@ -59,18 +61,20 @@ def kappa_delta(eps: float, kmax: float, n_max: int = 4, eta: float = 1.0):
 
 
 class _Ctx:
-    """Dense scratch bound to one (table, eps, mu, forcing) at the time of
-    one state: its stamp in the rotated frame, 0 in the lab frame."""
+    """Dense scratch bound to one (table, eps, mu, forcing) at one state:
+    the forcing at the state's own time, read as the march reads it
+    (``_forcing_rows``, None meaning zero), and the phases at that time
+    in the rotated frame, at 0 in the lab frame."""
 
-    def __init__(self, table: ModeTable, eps, mu, forcing: ForcingSpec,
-                 state: SpectralState):
+    def __init__(self, table: ModeTable, eps, mu,
+                 forcing: ForcingSpec | None, state: SpectralState):
         self.table = table
         self.eps = float(eps)
         self.mu = float(mu)
         self.t = float(state.t if state.frame == "rotated" else 0.0)
         self.E = table.phase(self.t, self.eps)  # rotated -> lab per mode
         # forcing is stored lab-frame; rotated coefficient = f_lab / E
-        fd = forcing.amplitude(self.t) * _dense_forcing(table, forcing) / self.E
+        fd = _forcing_rows(table, forcing)(state.t) / self.E
         self.f_slow = np.zeros_like(fd)
         self.f_slow[0] = fd[0]
         self.f_fast = fd - self.f_slow
@@ -166,7 +170,7 @@ class ManifoldApprox:
     kappa: float
     eps: float
     mu: float
-    forcing: ForcingSpec
+    forcing: ForcingSpec | None
     order: int = 1
     n_cap: int = field(default=None)
     eta: float = 1.0
@@ -225,7 +229,7 @@ class ManifoldApprox:
         return remainder_direct(self, state)
 
 
-def u1(W0: SpectralState, forcing: ForcingSpec, eps: float,
+def u1(W0: SpectralState, forcing: ForcingSpec | None, eps: float,
        kappa: float = None, mu: float = 0.0) -> SpectralState:
     """First-order balance eps * Linv(f_fast - B_fast(W0, W0))."""
     if kappa is None:
@@ -233,7 +237,7 @@ def u1(W0: SpectralState, forcing: ForcingSpec, eps: float,
     return ManifoldApprox(W0.domain, kappa, eps, mu, forcing, order=1)(W0)
 
 
-def g_of(W0: SpectralState, U: SpectralState, forcing: ForcingSpec,
+def g_of(W0: SpectralState, U: SpectralState, forcing: ForcingSpec | None,
          mu: float, kappa: float = None, eps: float = 1.0) -> SpectralState:
     """Slow tendency on the graph: -B_slow(W0+U, W0+U) - A W0 + f_slow."""
     if kappa is None:
@@ -284,8 +288,8 @@ def remainder_diff(approx_n: ManifoldApprox, approx_np1: ManifoldApprox,
                        state.frame, state.t)
 
 
-def contraction_scan(state: SpectralState, forcing: ForcingSpec, mu: float,
-                     eps_list, kappa: float, n_hi: int = 3):
+def contraction_scan(state: SpectralState, forcing: ForcingSpec | None,
+                     mu: float, eps_list, kappa: float, n_hi: int = 3):
     """Remainder norms ||R^n|| for n = 0..n_hi over a list of eps.
 
     Returns (rows, eps_threshold): rows of (eps, [norms]), and the largest

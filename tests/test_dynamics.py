@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geobalance._engine import mode_table
+from geobalance._engine import REAL_TOL, mode_table
 from geobalance.dynamics import (DivergenceError, ForcingSpec, SolverConfig,
                                  apply_A, energy_budget, integrate,
                                  reconstruct_fields, tendency)
@@ -33,6 +33,10 @@ def _forcing(kmax=2.0, seed=7, scale=0.1):
 
 
 class TestValidation:
+    def test_infinite_dt_rejected(self):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            SolverConfig(eps=0.1, mu=0.0, dt=math.inf, t_end=0.0, kmax=2.0)
+
     def test_config_ranges(self):
         with pytest.raises(ValueError, match="eps"):
             SolverConfig(eps=0.0, mu=0.1, dt=0.1, t_end=1.0, kmax=2.0)
@@ -79,6 +83,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="reality"):
             ForcingSpec(bad)
 
+    def test_forcing_reality_defect_over_real_tol_refused(self):
+        """A forcing accepted by the march must keep its lab fields real
+        to the kernels' REAL_TOL, or the grid product leaves its packed
+        real-field path: an anti-Hermitian part of relative defect 2e-11
+        is refused, one of 1e-14 is not."""
+        f = default_forcing(DOM, 2.0).coeffs
+        top = np.abs(f.array).max()
+        for size, ok in ((1e-11, False), (5e-15, True)):
+            g = f + (1j * size) * f
+            defect = check_reality(g) / top
+            assert (defect <= REAL_TOL) == ok
+            if ok:
+                ForcingSpec(g)
+                continue
+            with pytest.raises(ValueError, match="reality .*enforce_reality"):
+                ForcingSpec(g)
+
     def test_fast_forcing_at_k3_zero_impossible(self):
         # the constraint lives in the state container itself
         with pytest.raises(ValueError, match="fast branch at l3=0"):
@@ -99,6 +120,17 @@ class TestValidation:
             integrate(lab, cfg)
         with pytest.raises(ValueError, match="rotated"):
             tendency(lab, 0.0, cfg)
+
+    def test_each_entry_point_names_itself(self):
+        lab = random_state(DOM, 2.0, 9, frame="lab")
+        cfg = SolverConfig(eps=0.1, mu=0.1, dt=0.1, t_end=0.2, kmax=2.0)
+        for name, run in (("integrate", lambda: integrate(lab, cfg)),
+                          ("tendency", lambda: tendency(lab, 0.0, cfg)),
+                          ("energy_budget",
+                           lambda: energy_budget(lab, None, 0.0, cfg))):
+            with pytest.raises(ValueError, match=f"^{name} expects a "
+                               f"rotated-frame state$"):
+                run()
 
     def test_energy_budget_rejects_lab_frame(self):
         lab = random_state(DOM, 3.0, 9, frame="lab")
@@ -335,6 +367,18 @@ class TestBudget:
 
 
 class TestReconstruct:
+    def test_rotated_state_only_at_t_zero(self):
+        """Without eps a rotated state has lab-frame coefficients only at
+        t = 0; at t = 0.5 its fields would be the rotated-frame ones."""
+        s = enforce_reality(random_state(DOM, 2.0, 55))
+        want = reconstruct_fields(s, 8)
+        lab = reconstruct_fields(s.replace(frame="lab", t=0.5), 8)
+        for name, arr in want.items():
+            assert np.array_equal(lab[name], arr)
+        with pytest.raises(ValueError, match=r"'rotated' snapshot at t = 0\.5 "
+                           r"has no lab-frame coefficients"):
+            reconstruct_fields(s.replace(t=0.5), 8)
+
     def test_real_fields_and_parities(self):
         s = enforce_reality(random_state(DOM, 2.0, 45))
         g = reconstruct_fields(s, 12)

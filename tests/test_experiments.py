@@ -42,6 +42,17 @@ class TestToyModel:
         with pytest.raises(ValueError):
             toy_model(0.1, 1.0, 1.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("eps", math.inf), ("mu", math.inf), ("dt", math.inf),
+        ("f", complex(math.nan, 0.0)), ("x0", math.nan)])
+    def test_non_finite_input_refused(self, name, value):
+        """eps = inf gave slow point nan, mu = inf slow point 0, and f or
+        x0 = nan distances of nan; dt = inf took no step."""
+        args = dict(eps=0.1, mu=0.5, f=1.0, T=0.0, dt=0.1, x0=0.0)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            toy_model(**args)
+
     @pytest.mark.parametrize("T, dt", [(1.0, 0.3), (1.0, 0.4), (0.1, 0.3)])
     def test_partial_last_step_refused(self, T, dt):
         """T = 1 by dt 0.3 or 0.4 would end at 0.9 or 0.8, and T = 0.1 by

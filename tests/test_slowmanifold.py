@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from geobalance._engine import ModeTable
+from geobalance._engine import ModeTable, mode_table
 from geobalance.dynamics import ForcingSpec, apply_A
 from geobalance.experiments import manifold_scan
 from geobalance.interactions import apply_B_fast, apply_B_slow
@@ -332,6 +332,54 @@ class TestBoxCheck:
                 run()
             assert "box 6.28319 x 4 x 3" in str(err.value)
             assert "box 6.28319 x 6.28319 x 6.28319" in str(err.value)
+
+
+class TestForcingAsTheMarchReadsIt:
+    """The graph reads the forcing through the march's one rule: None is
+    zero forcing, and the amplitude is taken at the state's own time in
+    either frame."""
+
+    def _calls(self, forcing, W, U, d):
+        ap = [ManifoldApprox(DOM, KAPPA, 0.1, 0.3, forcing, order=n,
+                             n_cap=3) for n in (1, 2)]
+        U2, (DU2,) = ap[1].jet(W, [d])
+        rows, thresh = contraction_scan(W, forcing, 0.3, [0.05, 0.1], KAPPA,
+                                        n_hi=2)
+        return ([ap[0](W), U2, DU2, remainder_direct(ap[0], W),
+                 remainder_diff(ap[0], ap[1], W), u1(W, forcing, 0.1),
+                 g_of(W, U, forcing, mu=0.3)], rows, thresh)
+
+    def test_none_is_zero_forcing_everywhere(self):
+        W, d = _slow_state(40), _slow_state(41, scale=1.0)
+        U = u1(W, _forcing(42), 0.1)
+        got = self._calls(None, W, U, d)
+        want = self._calls(ForcingSpec.zero(DOM, KMAX), W, U, d)
+        for a, b in zip(got[0], want[0]):
+            assert np.array_equal(a.array, b.array)
+            assert np.array_equal(a.mask, b.mask)
+            assert (a.frame, a.t) == (b.frame, b.t)
+        assert got[1:] == want[1:]
+        assert any(sobolev_norm(a) > 0 for a in got[0])
+
+    def test_lab_frame_state_reads_the_amplitude_at_its_time(self):
+        """A lab-frame state at t = 1 and the same state in the rotated
+        frame lie on one graph: its lab-frame rows are E(1) times the
+        rotated ones, at orders 1 and 2."""
+        eps, t = 0.1, 1.0
+        forcing = ForcingSpec(_forcing(43).coeffs, modulation=math.cos)
+        lab = enforce_reality(random_state(DOM, KMAX, 44, scale=0.5,
+                                           frame="lab")).replace(t=t)
+        for n in (1, 2):
+            ap = ManifoldApprox(DOM, KAPPA, eps, 0.3, forcing, order=n,
+                                n_cap=2)
+            full = mode_table(DOM, KMAX)
+            rot = full.state(full.dense(lab) / full.phase(t, eps),
+                             "rotated", t)
+            table = ap.table
+            want = table.dense(ap(lab))
+            got = table.phase(t, eps) * table.dense(ap(rot))
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+            assert np.abs(want).max() > 0.0
 
 
 class TestProductsOncePerCall:
